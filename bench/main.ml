@@ -223,7 +223,7 @@ let checker_throughput () =
 
    Work-stealing parallel BFS on the fig10 exhaustive-closure instance,
    exploring the identical state space at 1, 2 and 4 domains.  The
-   speedup column (parallel states/sec over sequential states/sec) is
+   speedup column (jobs=N states/sec over jobs=1 states/sec) is
    what perf PRs diff; the same rows are emitted into the report under
    "checker_par", and benchdiff tracks both states_per_sec and
    speedup_vs_seq per job count. *)
@@ -242,7 +242,7 @@ let checker_par () =
   in
   (* run through a memory reporter so the parallel runs' scaling-detail
      record (serial fraction, lock waits, steal and termination-probe
-     counters — see Par_explore) lands in the report next to the
+     counters — see Check.Explore) lands in the report next to the
      measured speedup it predicts *)
   let explore_with_detail jobs =
     let obs, snapshot = Obs.Reporter.memory () in
@@ -269,7 +269,7 @@ let checker_par () =
           (Fmt.str "checker-par-jobs-%d (%d states)" jobs o.Check.Explore.states)
           r speedup;
         if o.Check.Explore.states <> seq.Check.Explore.states then
-          Fmt.pr "  WARNING: jobs=%d visited %d states, sequential visited %d@." jobs
+          Fmt.pr "  WARNING: jobs=%d visited %d states, jobs=1 visited %d@." jobs
             o.Check.Explore.states seq.Check.Explore.states;
         Obs.Json.Obj
           [
@@ -348,7 +348,7 @@ let checker_store () =
   let run mem_budget =
     let obs, snapshot = Obs.Reporter.memory () in
     let o =
-      Check.Par_explore.run ~jobs:1 ~mem_budget ~obs ~invariants:invs model.Core.Model.system
+      Check.Explore.run ~jobs:1 ~mem_budget ~obs ~invariants:invs model.Core.Model.system
     in
     let detail =
       Option.value ~default:Obs.Json.Null
@@ -582,7 +582,7 @@ let checker_certify () =
   let dump = ref None in
   let on_store st = dump := Some (Certify.Writer.of_store st) in
   let t0 = Unix.gettimeofday () in
-  let o = Check.Par_explore.run ~jobs:1 ~on_store ?reducer ~invariants initial in
+  let o = Check.Explore.run ~jobs:1 ~on_store ?reducer ~invariants initial in
   let entries, max_depth =
     match !dump with
     | Some (Ok r) -> r

@@ -72,7 +72,7 @@ let run_cmd =
       value
       & opt int 1
       & info [ "jobs"; "j" ]
-          ~doc:"Worker domains (1 = sequential; higher runs the parallel BFS).")
+          ~doc:"Worker domains for the work-stealing BFS (1 = a plain FIFO BFS).")
   in
   let run src max_states jobs reduce obs =
     let sys = Cimp_lang.Compile.of_source src in
@@ -86,7 +86,7 @@ let run_cmd =
       Fmt.epr "warning: --reduce=%a is not available for surface programs; running unreduced@."
         Reduce.Mode.pp m);
     let o =
-      Check.Par_explore.run ~jobs ~max_states ~obs
+      Check.Explore.run ~jobs ~max_states ~obs
         ~invariants:[ ("assertions", Cimp_lang.Compile.assertions_hold) ]
         sys
     in

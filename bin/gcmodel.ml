@@ -181,8 +181,8 @@ let jobs =
     & opt int 1
     & info [ "jobs"; "j" ]
         ~doc:
-          "Worker domains. 1 (the default) is the sequential checker; higher values run the \
-           work-stealing parallel BFS (explore, crosscheck) or the random-walk swarm (walk).")
+          "Worker domains for the work-stealing BFS (explore, crosscheck; 1, the default, is a \
+           plain FIFO BFS) or the random-walk swarm (walk).")
 
 (* -- tiered store / checkpoint flags (lib/store) ----------------------------- *)
 
@@ -385,8 +385,7 @@ let explore_cmd =
     in
     (* at jobs = 1 the certificate table is dumped straight from the
        seen-set (the one-worker pool is a FIFO BFS, so its depth stamps
-       are BFS distances); the hook also forces the pool path, which is
-       what threads a store through the run at all *)
+       are BFS distances) *)
     let cert_dump = ref None in
     let on_store =
       match certificate with
@@ -395,7 +394,7 @@ let explore_cmd =
     in
     let invariants = invariants_of cfg safety_only in
     let o =
-      Check.Par_explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
+      Check.Explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
         ?checkpoint:(Option.map (fun dir -> (dir, checkpoint_every)) checkpoint)
         ?on_store ~run_config ~invariants model.Core.Model.system
     in
@@ -418,11 +417,12 @@ let explore_cmd =
             else begin
               (* parallel schedules can drift at the symmetry reduction's
                  local-automorphism boundary: re-derive the canonical
-                 quotient table deterministically so the certificate is
+                 quotient table at jobs=1 so the certificate is
                  byte-identical to a jobs=1 run's *)
-              Fmt.pr "certificate: deterministic sweep (jobs=%d order is schedule-dependent)@."
+              Fmt.pr "certificate: re-deriving the table at jobs=1 (jobs=%d order is \
+                      schedule-dependent)@."
                 jobs;
-              Certify.Recheck.sweep ~reducer ~invariants model.Core.Model.system
+              Certify.Writer.derive ~reducer ~invariants model.Core.Model.system
             end
           in
           match table with
@@ -500,7 +500,7 @@ let resume_cmd =
     let reducer = Core.Reduction.reducer cfg reduce in
     let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
     let o =
-      Check.Par_explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget
+      Check.Explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget
         ~checkpoint:(dir, checkpoint_every) ~resume:snap ~run_config:config
         ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
     in
@@ -655,10 +655,10 @@ let crosscheck_cmd =
         ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
     in
     Fmt.pr "%a@." Reduce.Crosscheck.pp r;
-    (* --jobs N extends the agreement obligation to the work-stealing
-       checker: verdict, violated invariant and counterexample length
-       must match the sequential full run at N domains, both unreduced
-       and under the reducer *)
+    (* --jobs N extends the agreement obligation to N workers: verdict,
+       violated invariant and counterexample length must match the
+       jobs=1 full run at N domains, both unreduced and under the
+       reducer *)
     let jobs_errors =
       if jobs <= 1 then []
       else begin
@@ -670,19 +670,17 @@ let crosscheck_cmd =
             Fmt.str "violates %s, counterexample length %d" tr.Check.Trace.broken
               (Check.Trace.length tr)
         in
-        let seq = Check.Explore.run ~max_states ~invariants model.Core.Model.system in
-        let base = verdict seq in
+        let base = verdict (Check.Explore.run ~max_states ~invariants model.Core.Model.system) in
         let par_run ?reducer label =
           let o =
-            Check.Par_explore.run ~jobs ~max_states ?reducer ~invariants
-              model.Core.Model.system
+            Check.Explore.run ~jobs ~max_states ?reducer ~invariants model.Core.Model.system
           in
           let pv = verdict o in
           if pv = base then begin
             Fmt.pr "jobs equivalence OK (jobs=%d, %s)@." jobs label;
             []
           end
-          else [ Fmt.str "jobs=%d %s: %s, but sequential: %s" jobs label pv base ]
+          else [ Fmt.str "jobs=%d %s: %s, but jobs=1: %s" jobs label pv base ]
         in
         par_run "unreduced" @ par_run ~reducer "reduced"
       end
@@ -704,14 +702,14 @@ let crosscheck_cmd =
               (Check.Trace.length tr)
         in
         let base =
-          Check.Par_explore.run ~jobs:1 ~max_states ~invariants model.Core.Model.system
+          Check.Explore.run ~jobs:1 ~max_states ~invariants model.Core.Model.system
         in
         let base_sig = signature base in
         let spill_legs =
           List.concat_map
             (fun j ->
               let o =
-                Check.Par_explore.run ~jobs:j ~max_states ~mem_budget:budget ~invariants
+                Check.Explore.run ~jobs:j ~max_states ~mem_budget:budget ~invariants
                   model.Core.Model.system
               in
               let s = signature o in
@@ -731,7 +729,7 @@ let crosscheck_cmd =
               (Fmt.str "gcmodel-crosscheck-ckpt-%d" (Unix.getpid ()))
           in
           let o =
-            Check.Par_explore.run ~jobs:1 ~max_states ~mem_budget:budget
+            Check.Explore.run ~jobs:1 ~max_states ~mem_budget:budget
               ~checkpoint:(dir, 500) ~invariants model.Core.Model.system
           in
           let errs =
@@ -739,7 +737,7 @@ let crosscheck_cmd =
             | Error msg -> [ Fmt.str "resume: cannot load checkpoint: %s" msg ]
             | Ok snap ->
               let r =
-                Check.Par_explore.run ~jobs:1 ~max_states ~mem_budget:budget ~resume:snap
+                Check.Explore.run ~jobs:1 ~max_states ~mem_budget:budget ~resume:snap
                   ~invariants model.Core.Model.system
               in
               let so = signature o and sr = signature r in
@@ -790,8 +788,8 @@ let crosscheck_cmd =
        ~doc:
          "Run reduced and unreduced exploration on the same instance and verify they agree \
           (verdict, violated invariant, counterexample length, reduced <= full states). \
-          With --jobs N, also verify the work-stealing parallel checker reports the same \
-          verdict, invariant and counterexample length at N domains, unreduced and reduced. \
+          With --jobs N, also verify the explorer reports the jobs=1 verdict, invariant and \
+          counterexample length at N domains, unreduced and reduced. \
           With --mem-budget B, also verify a forced-spill run (tiered store under budget B, \
           at 1 and 4 domains) and a checkpoint/resume round-trip report the all-RAM verdict \
           and state count. Exits 1 on mismatch.")
@@ -846,7 +844,7 @@ let explain_cmd =
           v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs;
         let reducer = Core.Reduction.reducer cfg reduce in
         let o =
-          Check.Par_explore.run ~jobs:1 ~max_states ~obs ?reducer
+          Check.Explore.run ~jobs:1 ~max_states ~obs ?reducer
             ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
         in
         (match o.Check.Explore.violation with

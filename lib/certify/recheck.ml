@@ -1,24 +1,17 @@
-(* The independent validator, and the deterministic sweep that is its
-   write-time twin.
+(* The independent validator.
 
-   Both walk the same graph the same way: a FIFO BFS from the canonical
-   initial state, expanding the executable canonical representative of
-   each class exactly once, generating successors through the reducer's
-   ample-set function and fingerprinting each successor's canonical
-   representative.  Because the explorers expand canonical
-   representatives too (Reducer.canon_state), this BFS visits exactly
-   the explored quotient graph — first-arrival order is the sequential
-   explorer's, so depths agree by construction, not by luck.
+   It walks a FIFO BFS from the canonical initial state, expanding the
+   executable canonical representative of each class exactly once,
+   generating successors through the reducer's ample-set function and
+   fingerprinting each successor's canonical representative.  Because
+   the explorer expands canonical representatives too
+   (Reducer.canon_state), this BFS visits exactly the explored quotient
+   graph, and its first-arrival order is the jobs=1 explorer's, so depths
+   agree by construction, not by luck.
 
-   [sweep] runs the BFS in *build* mode: it records (fingerprint, depth,
-   verdict) per class and returns the table, sorted by fingerprint.  The
-   certificate writer uses it when the producing run's schedule is not
-   deterministic (jobs > 1), so certificates are byte-identical per
-   (configuration, reduction mode) no matter how they were produced.
-
-   [validate] runs the BFS in *probe* mode against a loaded certificate:
-   every claim in the table is re-derived — the root obligation, the
-   per-entry invariant verdicts (the full catalogue, re-evaluated), the
+   [validate] runs the BFS against a loaded certificate: every claim in
+   the table is re-derived — the root obligation, the per-entry
+   invariant verdicts (the full catalogue, re-evaluated), the
    per-entry depth stamps (BFS distance), and transition closure (each
    regenerated successor must be in the table).  A final coverage scan
    rejects table entries the BFS never reached, making the check an
@@ -48,55 +41,6 @@ let verdict_of invs sys =
     if i >= n then -1 else if not ((snd invs.(i)) sys) then i else go (i + 1)
   in
   go 0
-
-let sweep ?(normal_form = true) ~reducer ~invariants initial =
-  let norm s = if normal_form then Cimp.System.normalize s else s in
-  let canon s = Check.Reducer.canon_of reducer s in
-  let fp_of s = Check.Fingerprint.hash (Check.Reducer.fp_of reducer s) in
-  let invs = Array.of_list invariants in
-  let seen = Hashtbl.create 65536 in
-  let acc = ref [] in
-  let q = Queue.create () in
-  try
-    let root = canon (norm initial) in
-    let fp0 = fp_of root in
-    Hashtbl.replace seen fp0 ();
-    Queue.add (root, fp0, 0) q;
-    let max_depth = ref 0 in
-    while not (Queue.is_empty q) do
-      let sys, fp, d = Queue.pop q in
-      if d > !max_depth then max_depth := d;
-      let v = verdict_of invs sys in
-      if v >= 0 then
-        failf "invariant %s violated at state %s — refusing to certify an unsafe run"
-          (fst invs.(v)) (fp_hex fp);
-      acc :=
-        {
-          Store.Segment.fp;
-          parent = 0;
-          event = 0;
-          meta = Store.Tiered.meta32_make ~depth:d ~violation:v;
-        }
-        :: !acc;
-      List.iter
-        (fun (_e, s') ->
-          (* fp before canon: canon_state preserves the fingerprint, and
-             most successors are duplicates that never need the
-             executable representative materialized *)
-          let s' = norm s' in
-          let fp' = fp_of s' in
-          if not (Hashtbl.mem seen fp') then begin
-            Hashtbl.replace seen fp' ();
-            Queue.add (canon s', fp', d + 1) q
-          end)
-        (Check.Reducer.succs_of reducer sys)
-    done;
-    let entries = Array.of_list !acc in
-    Array.sort (fun a b -> compare a.Store.Segment.fp b.Store.Segment.fp) entries;
-    Ok (entries, !max_depth)
-  with Fail msg -> Error msg
-
-(* -- probe mode ------------------------------------------------------------- *)
 
 let find_fp fps fp =
   let lo = ref 0 and hi = ref (Array.length fps - 1) in

@@ -1,24 +1,21 @@
 (* Certificate emission.
 
-   Two table sources, one byte format:
+   The table is always the explorer's tiered seen-set, dumped by
+   [of_store] (tier-0 shards plus any spilled segments, min-depth /
+   or-expanded merged per fingerprint) after a jobs = 1 run: that run is
+   a FIFO BFS, so its depth stamps are BFS distances and the dump already
+   is the canonical table.  A caller whose own run was scheduled across
+   several workers re-derives the table with [derive], the same engine at
+   jobs = 1: the parallel visited class set can differ across schedules
+   at the symmetry reduction's local-automorphism boundary, and the
+   certificate must be the canonical quotient table the validator will
+   reconstruct, byte-identical whatever [--jobs] produced it.
 
-   - [of_store] dumps the explorer's tiered seen-set (tier-0 shards plus
-     any spilled segments, min-depth / or-expanded merged per
-     fingerprint) after a deterministic run — the jobs = 1 pool is a
-     FIFO BFS, so the stored depth stamps are BFS distances and the dump
-     already is the canonical table.
-
-   - a Recheck.sweep table, used by callers whose producing run was
-     scheduled nondeterministically (jobs > 1): the parallel explorers'
-     visited class set can differ across schedules at the symmetry
-     reduction's local-automorphism boundary, so the writer re-derives
-     the canonical quotient table the validator will reconstruct.
-
-   Either way [write] emits table.seg (one globally sorted segment) and
-   then CERT.json binding the configuration hash, reduction mode,
-   invariant catalogue, obligations and the table digest.  The header is
-   written last so a crash mid-write never leaves a certificate that
-   parses: no CERT.json, no certificate. *)
+   [write] then emits table.seg (one globally sorted segment) and
+   CERT.json binding the configuration hash, reduction mode, invariant
+   catalogue, obligations and the table digest.  The header is written
+   last so a crash mid-write never leaves a certificate that parses: no
+   CERT.json, no certificate. *)
 
 let rec mkdirs dir =
   if not (Sys.file_exists dir) then begin
@@ -66,6 +63,14 @@ let of_store store =
         0 entries
     in
     Ok (entries, max_depth)
+
+let derive ~reducer ~invariants initial =
+  let table = ref (Error "internal error: seen-set dump not captured") in
+  ignore
+    (Check.Explore.run ~jobs:1 ~max_states:max_int ?reducer
+       ~on_store:(fun store -> table := of_store store)
+       ~invariants initial);
+  !table
 
 let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entries =
   let n = Array.length entries in

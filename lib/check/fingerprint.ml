@@ -3,24 +3,17 @@
    Control state is identified by each process's label spine (commands
    themselves carry closures and cannot be compared); data states must be
    canonical plain OCaml data — everything in the GC model is ints, bools,
-   lists, options and flat variants — so structural comparison is sound.
-   The pair is the key for the explorer's seen-set.
+   lists, options and flat variants — so a structural hash of the pair
+   identifies the state.
 
-   Hashing is a compact structural fingerprint: an FNV-1a-style mix over
-   the label spine and a traversal of the data representation, computed
-   once at [of_system] and cached.  It replaces the former
-   [Hashtbl.hash_param 64 256] polymorphic hash, which (a) re-walked the
-   whole value on every probe, (b) truncated deep states at its
-   meaningful-node budget, and (c) folded to 30 bits.  The structural mix
-   fills a native word (63 bits on 64-bit platforms, presented as a
-   non-zero int64), so it can key the parallel explorer's sharded
-   seen-set directly, with collision probability ~ n^2 / 2^63. *)
+   The fingerprint is an FNV-1a-style mix over the label spine and a
+   traversal of the data representation.  Unlike the polymorphic
+   [Hashtbl.hash_param] it does not truncate deep states at a
+   meaningful-node budget, and it fills a native word (63 bits on 64-bit
+   platforms, presented as a non-zero int64), so it keys the explorer's
+   sharded seen-set directly, with collision probability ~ n^2 / 2^63. *)
 
-type t = {
-  fp : int;  (* compact structural fingerprint; never 0 *)
-  control : Cimp.Label.t list list;
-  data : Stdlib.Obj.t list;
-}
+type t = int (* never 0 *)
 
 (* -- the structural mix ----------------------------------------------------- *)
 
@@ -36,8 +29,8 @@ let mix_string h s =
 
 (* Structural walk of a data payload.  Only the representations canonical
    data can have: immediates, scannable blocks, strings, boxed floats.
-   Functional and abstract values violate the module contract (they would
-   also break the explorer's structural [equal]), so fail loudly. *)
+   Functional and abstract values violate the module contract (their
+   representation says nothing about their behaviour), so fail loudly. *)
 let rec mix_obj h (o : Stdlib.Obj.t) =
   if Stdlib.Obj.is_int o then mix (mix h 3) (Stdlib.Obj.obj o : int)
   else begin
@@ -61,18 +54,17 @@ let rec mix_obj h (o : Stdlib.Obj.t) =
       mix (mix h 11) (Hashtbl.hash o)
   end
 
-(* The data payloads are stashed as Obj.t to keep this module polymorphic in
+(* The data payloads are passed as Obj.t to keep this module polymorphic in
    the system's state type; they are only ever consumed by the structural
-   walk above and the polymorphic [compare], never re-projected. *)
+   walk above, never re-projected. *)
 let of_parts ~control ~data : t =
   let h =
     List.fold_left (fun h spine -> List.fold_left mix_string (mix h 13) spine)
       0xcbf29ce484222 control
   in
   let h = List.fold_left mix_obj (mix h 17) data in
-  (* 0 is the parallel seen-set's empty-slot sentinel *)
-  let h = if h = 0 then 1 else h in
-  { fp = h; control; data }
+  (* 0 is the seen-set's empty-slot sentinel *)
+  if h = 0 then 1 else h
 
 let of_system (sys : ('a, 'v, 's) Cimp.System.t) : t =
   let n = Cimp.System.n_procs sys in
@@ -82,21 +74,5 @@ let of_system (sys : ('a, 'v, 's) Cimp.System.t) : t =
   in
   of_parts ~control ~data
 
-(* Structural equality, with the cached fingerprint as a cheap negative
-   filter (equal structures always have equal fingerprints). *)
-let equal (a : t) (b : t) =
-  a.fp = b.fp && Stdlib.compare (a.control, a.data) (b.control, b.data) = 0
-
-let hash (a : t) = a.fp
-let fp64 (a : t) = Int64.of_int a.fp
-
-(* The pre-PR polymorphic hash, kept for regression comparison (tests
-   assert both hashes separate distinct small systems). *)
-let hash_poly (a : t) = Hashtbl.hash_param 64 256 (a.control, a.data)
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
+let hash (a : t) = a
+let fp64 (a : t) = Int64.of_int a

@@ -3,20 +3,18 @@
     Control state is identified by the label spine of each process's frame
     stack; data states must be canonical plain OCaml data (no closures, no
     cycles, canonical collection representations), which everything in the
-    GC model is — then structural comparison is sound.
+    GC model is.
 
-    Each fingerprint caches a compact word-sized structural hash (an
+    A fingerprint is a compact word-sized structural hash (an
     FNV-1a-style mix over the label spine and the data representation,
-    never 0), computed once at {!of_system}.  It replaces the former
-    polymorphic [Hashtbl.hash_param] hash and is strong enough to key the
-    parallel explorer's seen-set on its own: collisions occur with
-    probability about [n^2 / 2^63] for [n] states. *)
+    never 0).  It keys the explorer's seen-set and the certificate table
+    on its own: collisions occur with probability about [n^2 / 2^63] for
+    [n] states. *)
 
 type t
 
 val of_system : ('a, 'v, 's) Cimp.System.t -> t
-(** Fingerprint a system's (control spine, data payloads) pair; the
-    compact hash is computed here, once. *)
+(** Fingerprint a system's (control spine, data payloads) pair. *)
 
 (** [of_parts ~control ~data] fingerprints an explicitly assembled
     (control-spine, data-payload) pair with the exact mix {!of_system}
@@ -27,20 +25,8 @@ val of_system : ('a, 'v, 's) Cimp.System.t -> t
     contract as process data states. *)
 val of_parts : control:Cimp.Label.t list list -> data:Stdlib.Obj.t list -> t
 
-(** Structural equality (the cached hash is used as a cheap negative
-    filter first). *)
-val equal : t -> t -> bool
-
-(** The compact structural fingerprint as a native int (never 0). *)
+(** The fingerprint as a native int (never 0). *)
 val hash : t -> int
 
 (** The same fingerprint presented as a non-zero int64. *)
 val fp64 : t -> int64
-
-(** The pre-existing polymorphic hash ([Hashtbl.hash_param 64 256]), kept
-    so tests can compare collision/determinism behaviour of both hashes. *)
-val hash_poly : t -> int
-
-(** Hash tables keyed by fingerprint ({!hash} for hashing, {!equal} for
-    collision resolution) — the sequential explorer's seen-set. *)
-module Table : Hashtbl.S with type key = t

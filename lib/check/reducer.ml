@@ -1,8 +1,7 @@
 (* State-space reduction hook.
 
-   The checkers (Explore, Par_explore, Random_walk) accept an optional
-   reducer that overrides the two operations reduction can soundly
-   intercept:
+   The checkers (Explore, Random_walk) accept an optional reducer that
+   overrides the operations reduction can soundly intercept:
 
    - [fingerprint] maps a state to the fingerprint of a *canonical
      representative* (e.g. with symmetric processes sorted, or dead

@@ -45,16 +45,14 @@ let invariants ?(safety_only = false) sc =
   in
   List.map (fun i -> (i.Invariants.name, i.Invariants.check)) invs
 
-(* [jobs = 1] (the default) is the sequential checker, bit for bit:
-   Par_explore.run and Random_walk.swarm both delegate.  [reduce]
-   defaults to None_ for the same reason — callers opt in — and is
-   applied identically on the sequential and [jobs > 1] paths (the same
-   Reduction.reducer value is threaded either way; its counters are
-   atomic, so domains can share it). *)
+(* [jobs] worker domains (default 1).  [reduce] defaults to None_ —
+   callers opt in — and is applied identically at every [jobs] (the
+   same Reduction.reducer value is threaded either way; its counters
+   are atomic, so domains can share it). *)
 let explore ?(max_states = 30_000_000) ?(jobs = 1) ?safety_only ?obs
     ?(reduce = Reduce.Mode.None_) sc =
   let reducer = Reduction.reducer sc.cfg reduce in
-  Check.Par_explore.run ~jobs ~max_states ?obs ?reducer
+  Check.Explore.run ~jobs ~max_states ?obs ?reducer
     ~invariants:(invariants ?safety_only sc) (model sc).Model.system
 
 let random_walk ?(seed = 42) ?(steps = 50_000) ?(jobs = 1) ?safety_only ?obs

@@ -31,14 +31,13 @@ val invariants : ?safety_only:bool -> t -> (string * (Model.sys -> bool)) list
 (** The invariant catalogue instantiated for the scenario's configuration,
     as (name, predicate) pairs for the checker. *)
 
-(** [jobs] worker domains (default 1 = the sequential checker, bit for
-    bit; see {!Check.Par_explore.run} / {!Check.Random_walk.swarm}).
-    [reduce] (default {!Reduce.Mode.None_}, i.e. the seed behaviour)
-    selects the state-space reduction; it is applied identically on the
-    sequential and [jobs > 1] paths.  The [bin/] tools default explore
-    to [all] — the library default stays [None_] so existing callers
-    and the differential tests get unreduced semantics unless they
-    opt in. *)
+(** [jobs] worker domains (default 1; see {!Check.Explore.run} /
+    {!Check.Random_walk.swarm}).  [reduce] (default
+    {!Reduce.Mode.None_}, i.e. the seed behaviour) selects the
+    state-space reduction; it is applied identically at every [jobs].
+    The [bin/] tools default explore to [all] — the library default
+    stays [None_] so existing callers and the differential tests get
+    unreduced semantics unless they opt in. *)
 val explore :
   ?max_states:int ->
   ?jobs:int ->

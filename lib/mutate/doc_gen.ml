@@ -262,10 +262,10 @@ let certificates_md () =
   add
     "Certificates are byte-identical per (configuration, reduction mode), no matter how \
      they were produced.  A `--jobs 1` producer dumps the explorer's seen-set directly (the \
-     one-worker pool is a FIFO BFS, so its depth stamps are BFS distances).  A `--jobs > 1` \
-     producer re-derives the table with a deterministic sweep — the validator's own BFS — \
-     because parallel schedules can differ in which representative of a symmetry class they \
-     visit at the local-automorphism boundary (DESIGN.md section 14).  `gcmodel certdiff` \
+     one-worker engine is a FIFO BFS, so its depth stamps are BFS distances).  A `--jobs > 1` \
+     producer re-derives the table by running the same engine at `--jobs 1` with no state \
+     cap, because parallel schedules can differ in which representative of a symmetry class \
+     they visit at the local-automorphism boundary (DESIGN.md section 14).  `gcmodel certdiff` \
      between certificates of the same instance therefore reports `identical`, and CI uses \
      exactly that as its no-change gate.\n\n";
   add "## Trust\n\n";

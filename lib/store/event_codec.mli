@@ -1,5 +1,5 @@
 (** Packing CIMP events into one native int (moved here from
-    [Check.Par_explore] so segments and checkpoints share one encoding).
+    [Check.Explore] so segments and checkpoints share one encoding).
 
     Labels are interned against the initial system's programs — every
     label a run can fire occurs in the initial frame stacks, the same

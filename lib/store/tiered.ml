@@ -1,5 +1,4 @@
-(* Tier 0 below is the former Check.Par_explore.Seen, verbatim in its
-   concurrency discipline: every operation, including the 70%-load
+(* Tier 0's concurrency discipline: every operation, including the 70%-load
    doubling and now the freeze/merge paths, runs entirely under the
    owning shard's mutex, so two workers can never resize (or spill) the
    same shard concurrently and an insert can never land in a table a

@@ -1,6 +1,8 @@
 (* Tests for the certifying checker (lib/certify): certificate
    round-trips through both producers (jobs=1 store dump, jobs>1
-   deterministic sweep) under reduce none/all, byte-determinism across
+   re-derivation at jobs=1) under reduce none/all, with the producing
+   run's counts checked against the independent validator's,
+   byte-determinism across
    producers, certdiff, and the adversarial tamper cases — a tampered
    certificate must fail closed with a diagnostic naming the offending
    fingerprint or header field, never validate. *)
@@ -37,30 +39,28 @@ let ok_or_fail what = function Ok v -> v | Error e -> Alcotest.fail (what ^ ": "
 
 (* Produce a certificate the way `gcmodel explore --jobs N` does: N=1
    dumps the explorer's own store (FIFO BFS, stamps are BFS distances),
-   N>1 re-derives the table with the deterministic sweep. *)
+   N>1 re-derives the table at jobs=1.  Returns the header and the
+   producing run's outcome. *)
 let make_cert ~jobs ~mode dir =
   let reducer = reducer_of mode in
+  let dump = ref None in
+  let on_store st = if jobs <= 1 then dump := Some (Certify.Writer.of_store st) in
+  let o = Check.Explore.run ~jobs ~on_store ?reducer ~invariants (initial ()) in
+  Alcotest.(check bool) "run closed without violation" true
+    ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
   let entries, max_depth =
-    if jobs <= 1 then begin
-      let dump = ref None in
-      let on_store st = dump := Some (Certify.Writer.of_store st) in
-      let o = Check.Par_explore.run ~jobs:1 ~on_store ?reducer ~invariants (initial ()) in
-      Alcotest.(check bool) "run closed without violation" true
-        ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
+    if jobs <= 1 then
       match !dump with
       | None -> Alcotest.fail "on_store never fired"
       | Some r -> ok_or_fail "of_store" r
-    end
-    else begin
-      let o = Check.Par_explore.run ~jobs ?reducer ~invariants (initial ()) in
-      Alcotest.(check bool) "parallel run closed without violation" true
-        ((not o.Check.Explore.truncated) && o.Check.Explore.violation = None);
-      ok_or_fail "sweep" (Certify.Recheck.sweep ~reducer ~invariants (initial ()))
-    end
+    else ok_or_fail "derive" (Certify.Writer.derive ~reducer ~invariants (initial ()))
   in
-  ok_or_fail "write"
-    (Certify.Writer.write ~dir ~config_hash ~reduce:(Reduce.Mode.to_string mode)
-       ~invariant_names:(List.map fst invariants) ~run_config ~max_depth entries)
+  let h =
+    ok_or_fail "write"
+      (Certify.Writer.write ~dir ~config_hash ~reduce:(Reduce.Mode.to_string mode)
+         ~invariant_names:(List.map fst invariants) ~run_config ~max_depth entries)
+  in
+  (h, o)
 
 let validate ?(hash = config_hash) ~mode dir =
   Certify.Recheck.validate ~reducer:(reducer_of mode) ~invariants ~config_hash:hash ~dir
@@ -71,8 +71,16 @@ let validate ?(hash = config_hash) ~mode dir =
 let round_trip ~jobs ~mode () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let h = make_cert ~jobs ~mode dir in
+  let h, o = make_cert ~jobs ~mode dir in
   let h', st = ok_or_fail "validate" (validate ~mode dir) in
+  (* the independent validator is the engine's oracle: its BFS must
+     count what the producing run counted *)
+  Alcotest.(check int) "validator states = explorer states" o.Check.Explore.states
+    st.Certify.Recheck.states;
+  Alcotest.(check int) "validator transitions = explorer transitions"
+    o.Check.Explore.transitions st.Certify.Recheck.transitions;
+  Alcotest.(check int) "validator max depth = explorer depth" o.Check.Explore.depth
+    st.Certify.Recheck.max_depth;
   Alcotest.(check int) "validated exactly the header's states" h.Certify.Certificate.states
     st.Certify.Recheck.states;
   Alcotest.(check int) "same max depth" h.Certify.Certificate.max_depth
@@ -87,7 +95,7 @@ let round_trip ~jobs ~mode () =
 let test_mode_is_part_of_the_claim () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let _h = make_cert ~jobs:1 ~mode:Reduce.Mode.All dir in
+  let _ = make_cert ~jobs:1 ~mode:Reduce.Mode.All dir in
   match validate ~mode:Reduce.Mode.None_ dir with
   | Ok _ -> Alcotest.fail "validated under the wrong reduction mode"
   | Error e ->
@@ -99,8 +107,8 @@ let test_mode_is_part_of_the_claim () =
 let test_producers_agree_bytewise () =
   let da = fresh_dir () and db = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf da; rm_rf db) @@ fun () ->
-  let ha = make_cert ~jobs:1 ~mode:Reduce.Mode.All da in
-  let hb = make_cert ~jobs:4 ~mode:Reduce.Mode.All db in
+  let ha, _ = make_cert ~jobs:1 ~mode:Reduce.Mode.All da in
+  let hb, _ = make_cert ~jobs:4 ~mode:Reduce.Mode.All db in
   Alcotest.(check string) "table digests agree across producers"
     ha.Certify.Certificate.table_digest hb.Certify.Certificate.table_digest;
   let d = ok_or_fail "certdiff" (Certify.Diff.run da db) in
@@ -123,7 +131,7 @@ let test_certdiff_reports_differences () =
 let with_cert f () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let h = make_cert ~jobs:1 ~mode:Reduce.Mode.All dir in
+  let h, _ = make_cert ~jobs:1 ~mode:Reduce.Mode.All dir in
   f dir h
 
 let expect_fail ~what ~subs dir =

@@ -110,17 +110,18 @@ let test_random_walk_deterministic_seed () =
 let test_fingerprints () =
   let sys0 = diamond () in
   let fp0 = Check.Fingerprint.of_system sys0 in
-  Alcotest.(check bool) "reflexive" true (Check.Fingerprint.equal fp0 (Check.Fingerprint.of_system (diamond ())));
+  let hash = Check.Fingerprint.hash in
+  Alcotest.(check int) "reflexive" (hash fp0) (hash (Check.Fingerprint.of_system (diamond ())));
   match System.steps sys0 with
   | (_, sys1) :: _ ->
     Alcotest.(check bool) "progress changes the fingerprint" false
-      (Check.Fingerprint.equal fp0 (Check.Fingerprint.of_system sys1))
+      (hash fp0 = hash (Check.Fingerprint.of_system sys1))
   | [] -> Alcotest.fail "diamond must step"
 
-(* Collision/determinism discipline for both the compact structural hash
-   and the retained polymorphic one: distinct small systems must get
-   distinct fingerprints, and recomputing from a freshly built equal
-   system must reproduce them exactly. *)
+(* Collision/determinism discipline for the compact structural hash:
+   distinct small systems must get distinct fingerprints, and
+   recomputing from a freshly built equal system must reproduce them
+   exactly. *)
 let test_fingerprint_hashes_distinct_and_stable () =
   (* vary data only *)
   let data_sys v : (int, int, int) System.t =
@@ -135,29 +136,25 @@ let test_fingerprint_hashes_distinct_and_stable () =
     @ List.init 128 (fun i -> Check.Fingerprint.of_system (control_sys ("l" ^ string_of_int i)))
   in
   let distinct l = List.length (List.sort_uniq compare l) = List.length l in
-  Alcotest.(check bool) "new hash: 256 distinct systems, 256 distinct fingerprints" true
+  Alcotest.(check bool) "256 distinct systems, 256 distinct fingerprints" true
     (distinct (List.map Check.Fingerprint.fp64 fps));
-  Alcotest.(check bool) "old hash: distinct on the same family" true
-    (distinct (List.map Check.Fingerprint.hash_poly fps));
   Alcotest.(check bool) "fp64 is never zero" true
     (List.for_all (fun fp -> Check.Fingerprint.fp64 fp <> 0L) fps);
-  (* stability: a rebuilt equal system reproduces both hashes *)
+  (* stability: a rebuilt equal system reproduces the fingerprint *)
   List.iteri
     (fun v fp ->
       let fp' = Check.Fingerprint.of_system (data_sys v) in
       Alcotest.(check int64) "fp64 stable across rebuilds" (Check.Fingerprint.fp64 fp)
         (Check.Fingerprint.fp64 fp');
-      Alcotest.(check int) "hash_poly stable across rebuilds" (Check.Fingerprint.hash_poly fp)
-        (Check.Fingerprint.hash_poly fp');
       Alcotest.(check int) "hash stable across rebuilds" (Check.Fingerprint.hash fp)
         (Check.Fingerprint.hash fp'))
     (List.filteri (fun i _ -> i < 128) fps)
 
-(* -- the parallel explorer ------------------------------------------------- *)
+(* -- several workers ------------------------------------------------------- *)
 
 (* A bounded branching counter: wide enough to exercise multi-state
-   levels, and it closes, so parallel and sequential outcomes must agree
-   on every count. *)
+   levels, and it closes, so jobs=1 and jobs=N outcomes must agree on
+   every count. *)
 let bounded_counter () : (int, int, int) System.t =
   let p : com =
     Com.While (("w" : Cimp.Label.t), (fun s -> s < 40), Com.Local_op ("step", fun s -> [ s + 1; s + 2 ]))
@@ -166,7 +163,7 @@ let bounded_counter () : (int, int, int) System.t =
 
 let test_par_matches_seq_counts () =
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (bounded_counter ()) in
-  let par = Check.Par_explore.run ~jobs:4 ~normal_form:false ~invariants:[] (bounded_counter ()) in
+  let par = Check.Explore.run ~jobs:4 ~normal_form:false ~invariants:[] (bounded_counter ()) in
   Alcotest.(check int) "states" seq.Check.Explore.states par.Check.Explore.states;
   Alcotest.(check int) "transitions" seq.Check.Explore.transitions par.Check.Explore.transitions;
   Alcotest.(check int) "depth" seq.Check.Explore.depth par.Check.Explore.depth;
@@ -177,8 +174,7 @@ let test_par_matches_seq_counts () =
 let test_par_matches_seq_gc_scenario () =
   (* a real GC-model instance: wide frontiers (hundreds of states per
      level) actually fan out across domains and through the sharded
-     seen-set; every count and the verdict must match the sequential
-     explorer *)
+     seen-set; every count and the verdict must match the jobs=1 run *)
   let sc = Core.Scenario.make ~label:"par-eq" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
   let seq = Core.Scenario.explore sc in
   let par = Core.Scenario.explore ~jobs:4 sc in
@@ -203,15 +199,15 @@ let test_par_violation_same_name_and_length () =
     | Some str ->
       Alcotest.(check string) "same invariant (seq)" name str.Check.Trace.broken;
       Alcotest.(check int) "seq trace is shortest" expected_len (Check.Trace.length str)
-    | None -> Alcotest.fail "sequential explorer must find the violation");
+    | None -> Alcotest.fail "jobs=1 must find the violation");
     List.iter
       (fun jobs ->
-        let par = Check.Par_explore.run ~jobs ~invariants:[ (name, pred) ] (sys ()) in
+        let par = Check.Explore.run ~jobs ~invariants:[ (name, pred) ] (sys ()) in
         match par.Check.Explore.violation with
         | Some ptr ->
           Alcotest.(check string) "same invariant (par)" name ptr.Check.Trace.broken;
           Alcotest.(check int) "par trace has the same length" expected_len (Check.Trace.length ptr)
-        | None -> Alcotest.fail "parallel explorer must find the violation")
+        | None -> Alcotest.fail "jobs>1 must find the violation")
       [ 2; 4 ]
   in
   check_both "not-three" (fun sys -> (System.proc sys 0).Com.data <> 3) 1;
@@ -220,7 +216,7 @@ let test_par_violation_same_name_and_length () =
 let test_par_coverage_matches_seq () =
   let sc = Core.Scenario.make ~label:"par-cov" ~n_refs:2 ~shape:"single" ~max_mut_ops:1 () in
   let run jobs =
-    (Check.Par_explore.run ~jobs ~track_coverage:true ~invariants:[]
+    (Check.Explore.run ~jobs ~track_coverage:true ~invariants:[]
        (Core.Scenario.model sc).Core.Model.system)
       .Check.Explore.covered
   in
@@ -273,7 +269,7 @@ let test_seen_resize_hammer () =
 (* Termination edge case: the invariant already fails at the root, so
    best-depth pruning drains the pool without expanding anything. *)
 let test_par_violation_at_root () =
-  let run jobs = Check.Par_explore.run ~jobs ~invariants:[ ("no", fun _ -> false) ] (diamond ()) in
+  let run jobs = Check.Explore.run ~jobs ~invariants:[ ("no", fun _ -> false) ] (diamond ()) in
   let seq = run 1 in
   List.iter
     (fun jobs ->
@@ -304,7 +300,7 @@ let test_par_empty_frontier_after_reduction () =
     }
   in
   let run jobs =
-    Check.Par_explore.run ~jobs ~reducer:collapse ~invariants:[] (bounded_counter ())
+    Check.Explore.run ~jobs ~reducer:collapse ~invariants:[] (bounded_counter ())
   in
   let seq = run 1 in
   Alcotest.(check int) "root only" 1 seq.Check.Explore.states;
@@ -321,14 +317,14 @@ let test_par_empty_frontier_after_reduction () =
 (* Termination edge case: a straight-line chain has exactly one pending
    task at any moment, so with --jobs 4 three workers spend the whole run
    probing for termination (and stealing at most the single task) — the
-   counts must still be exactly sequential. *)
+   counts must still be exactly the jobs=1 ones. *)
 let test_par_chain_starved_workers () =
   let p : com =
     Com.While (("w" : Cimp.Label.t), (fun s -> s < 30), Com.Local_op ("step", fun s -> [ s + 1 ]))
   in
   let sys () = System.make [| "p" |] [| proc p 0 |] in
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (sys ()) in
-  let par = Check.Par_explore.run ~jobs:4 ~normal_form:false ~invariants:[] (sys ()) in
+  let par = Check.Explore.run ~jobs:4 ~normal_form:false ~invariants:[] (sys ()) in
   Alcotest.(check int) "states" seq.Check.Explore.states par.Check.Explore.states;
   Alcotest.(check int) "transitions" seq.Check.Explore.transitions par.Check.Explore.transitions;
   Alcotest.(check int) "depth" seq.Check.Explore.depth par.Check.Explore.depth;
@@ -348,7 +344,7 @@ let test_par_steal_during_termination_probe () =
   let holder = Atomic.make (-1) in
   let hooks =
     {
-      Check.Par_explore.no_hooks with
+      Check.Explore.no_hooks with
       on_expand =
         (fun ~worker ~depth ->
           if depth = 0 then begin
@@ -365,7 +361,7 @@ let test_par_steal_during_termination_probe () =
   in
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (bounded_counter ()) in
   let par =
-    Check.Par_explore.run ~jobs:2 ~normal_form:false ~hooks ~invariants:[] (bounded_counter ())
+    Check.Explore.run ~jobs:2 ~normal_form:false ~hooks ~invariants:[] (bounded_counter ())
   in
   Alcotest.(check bool) "a probe observed pending work" true (Atomic.get probed_nonzero);
   Alcotest.(check int) "states" seq.Check.Explore.states par.Check.Explore.states;
@@ -448,12 +444,12 @@ let suite =
     Alcotest.test_case "fingerprint discipline" `Quick test_fingerprints;
     Alcotest.test_case "fingerprint hashes: distinct and stable" `Quick
       test_fingerprint_hashes_distinct_and_stable;
-    Alcotest.test_case "par explorer matches sequential counts" `Quick test_par_matches_seq_counts;
-    Alcotest.test_case "par explorer matches sequential on a GC instance" `Quick
+    Alcotest.test_case "par explorer matches jobs=1 counts" `Quick test_par_matches_seq_counts;
+    Alcotest.test_case "par explorer matches jobs=1 on a GC instance" `Quick
       test_par_matches_seq_gc_scenario;
     Alcotest.test_case "par violation: same invariant, same shortest length" `Quick
       test_par_violation_same_name_and_length;
-    Alcotest.test_case "par coverage matches sequential" `Quick test_par_coverage_matches_seq;
+    Alcotest.test_case "par coverage matches jobs=1" `Quick test_par_coverage_matches_seq;
     Alcotest.test_case "seen shard resize hammer" `Quick test_seen_resize_hammer;
     Alcotest.test_case "par violation at the root" `Quick test_par_violation_at_root;
     Alcotest.test_case "par empty frontier after reduction collapse" `Quick

@@ -10,19 +10,19 @@ let witness name = Core.Scenario.witness_for (Option.get (Core.Variants.by_name 
    raw material for the property tests below. *)
 let collect ?(limit = 4_000) sc =
   let sys0 = Cimp.System.normalize (Core.Scenario.model sc).Core.Model.system in
-  let seen = Check.Fingerprint.Table.create 1024 in
+  let seen = Hashtbl.create 1024 in
   let q = Queue.create () in
   let out = ref [] in
   let visit s =
-    let fp = Check.Fingerprint.of_system s in
-    if not (Check.Fingerprint.Table.mem seen fp) then begin
-      Check.Fingerprint.Table.add seen fp ();
+    let fp = Check.Fingerprint.hash (Check.Fingerprint.of_system s) in
+    if not (Hashtbl.mem seen fp) then begin
+      Hashtbl.add seen fp ();
       Queue.add s q;
       out := s :: !out
     end
   in
   visit sys0;
-  while (not (Queue.is_empty q)) && Check.Fingerprint.Table.length seen < limit do
+  while (not (Queue.is_empty q)) && Hashtbl.length seen < limit do
     let s = Queue.pop q in
     List.iter (fun (_e, s') -> visit (Cimp.System.normalize s')) (Cimp.System.steps s)
   done;
@@ -64,7 +64,7 @@ let sym_invariance n_muts () =
   let spec = Core.Reduction.spec cfg in
   let canon_fp s =
     let fp, _, _ = Reduce.Symmetry.canonical_fingerprint spec s in
-    fp
+    Check.Fingerprint.hash fp
   in
   let perms = Reduce.Symmetry.permutations (List.init n_muts Fun.id) in
   let states = collect ~limit:4_000 sc in
@@ -87,7 +87,7 @@ let sym_invariance n_muts () =
         List.iter
           (fun p ->
             let s' = Core.Reduction.permute_muts cfg s (fun m -> List.nth p m) in
-            if not (Check.Fingerprint.equal fp (canon_fp s')) then
+            if fp <> canon_fp s' then
               Alcotest.fail
                 (Fmt.str "canonical fingerprint not invariant under %a"
                    Fmt.(brackets (list ~sep:semi int))
@@ -272,8 +272,8 @@ let test_reducer_counters () =
   Alcotest.(check bool) "transitions were deferred" true
     (Atomic.get reducer.Check.Reducer.deferred > 0)
 
-let test_sequential_parallel_agree () =
-  (* same reducer semantics on both paths: verdicts and closure agree
+let test_jobs1_parallel_agree () =
+  (* same reducer semantics at every jobs: verdicts and closure agree
      (exact state counts may differ — orbit representatives are chosen
      by arrival order, and canonicalization pauses in the handshake
      signal window) *)
@@ -316,6 +316,6 @@ let suite =
     Alcotest.test_case "crosscheck: violating instance" `Quick test_crosscheck_violation;
     Alcotest.test_case "crosscheck: harness flags mismatches" `Quick test_crosscheck_flags_mismatches;
     Alcotest.test_case "reducer: counters move" `Quick test_reducer_counters;
-    Alcotest.test_case "reducer: sequential and parallel agree" `Slow test_sequential_parallel_agree;
+    Alcotest.test_case "reducer: jobs=1 and parallel agree" `Slow test_jobs1_parallel_agree;
     Alcotest.test_case "reach: three mutators close under reduction" `Slow test_three_mutators_closes;
   ]

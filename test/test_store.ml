@@ -220,7 +220,7 @@ let test_forced_spill_equivalence () =
     (fun jobs ->
       let dir = tmp_dir (Fmt.str "spill%d" jobs) in
       let o =
-        Check.Par_explore.run ~jobs ~normal_form:false ~mem_budget:(48 * 1024)
+        Check.Explore.run ~jobs ~normal_form:false ~mem_budget:(48 * 1024)
           ~spill_dir:dir ~invariants (two_counters ())
       in
       (* on a violating instance the states-at-stop count is traversal-order
@@ -241,7 +241,7 @@ let test_forced_spill_equivalence () =
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (sys ()) in
   let dir = tmp_dir "spill-clean" in
   let o =
-    Check.Par_explore.run ~jobs:2 ~normal_form:false
+    Check.Explore.run ~jobs:2 ~normal_form:false
       ~mem_budget:(Store.Tiered.n_shards * 20 * Store.Tiered.entry_bytes) ~spill_dir:dir
       ~invariants:[] (sys ())
   in
@@ -260,11 +260,11 @@ let test_forced_spill_equivalence () =
 let test_checkpoint_resume_equivalence () =
   let invariants = [ ("not-51", bad_sum) ] in
   let uninterrupted =
-    Check.Par_explore.run ~jobs:2 ~normal_form:false ~invariants (two_counters ())
+    Check.Explore.run ~jobs:2 ~normal_form:false ~invariants (two_counters ())
   in
   let dir = tmp_dir "ckpt" in
   let o =
-    Check.Par_explore.run ~jobs:2 ~normal_form:false ~checkpoint:(dir, 300) ~invariants
+    Check.Explore.run ~jobs:2 ~normal_form:false ~checkpoint:(dir, 300) ~invariants
       (two_counters ())
   in
   (let (v, _, _) = signature uninterrupted and (v', _, _) = signature o in
@@ -276,7 +276,7 @@ let test_checkpoint_resume_equivalence () =
   | Error msg -> Alcotest.failf "load: %s" msg
   | Ok snap ->
     let r =
-      Check.Par_explore.run ~jobs:2 ~normal_form:false ~resume:snap ~invariants (two_counters ())
+      Check.Explore.run ~jobs:2 ~normal_form:false ~resume:snap ~invariants (two_counters ())
     in
     let (v, _, _) = signature uninterrupted and (v', _, _) = signature r in
     Alcotest.(check (pair string int)) "resumed verdict + CE length" v v');
@@ -311,7 +311,7 @@ let test_resume_from_mid_run_snapshot () =
         poll ())
   in
   let full =
-    Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 200) ~invariants:[]
+    Check.Explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 200) ~invariants:[]
       (two_counters ())
   in
   Domain.join grabber;
@@ -319,7 +319,7 @@ let test_resume_from_mid_run_snapshot () =
   | None -> Alcotest.fail "no snapshot captured while the run was live"
   | Some snap ->
     let r =
-      Check.Par_explore.run ~jobs:2 ~normal_form:false ~resume:snap ~invariants:[]
+      Check.Explore.run ~jobs:2 ~normal_form:false ~resume:snap ~invariants:[]
         (two_counters ())
     in
     Alcotest.(check int)
@@ -340,7 +340,7 @@ let test_resume_from_mid_run_snapshot () =
 let test_crash_mid_checkpoint_recovery () =
   let dir = tmp_dir "crash" in
   let o =
-    Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 500) ~invariants:[]
+    Check.Explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 500) ~invariants:[]
       (two_counters ())
   in
   (* simulate a crash mid-write: partial snapshot dir + torn manifest *)
@@ -358,13 +358,13 @@ let test_crash_mid_checkpoint_recovery () =
     (* resume completes instantly (final snapshot: empty frontier) with
        the identical verdict *)
     let r =
-      Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[]
+      Check.Explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[]
         (two_counters ())
     in
     Alcotest.(check int) "states preserved" o.Check.Explore.states r.Check.Explore.states);
   (* the next write sweeps the debris *)
   let dir2_run =
-    Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 500) ~invariants:[]
+    Check.Explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 500) ~invariants:[]
       (two_counters ())
   in
   ignore dir2_run;
@@ -376,7 +376,7 @@ let test_crash_mid_checkpoint_recovery () =
 let test_resume_model_mismatch_refused () =
   let dir = tmp_dir "mismatch" in
   ignore
-    (Check.Par_explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 100) ~invariants:[]
+    (Check.Explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 100) ~invariants:[]
        (two_counters ()));
   (match Store.Checkpoint.load dir with
   | Error msg -> Alcotest.failf "load: %s" msg
@@ -386,9 +386,9 @@ let test_resume_model_mismatch_refused () =
       System.make [| "solo" |] [| proc p 100 |]
     in
     Alcotest.check_raises "mismatched model refused"
-      (Invalid_argument "Par_explore.run: checkpoint does not match this model configuration")
+      (Invalid_argument "Explore.run: checkpoint does not match this model configuration")
       (fun () ->
-        ignore (Check.Par_explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[] other)));
+        ignore (Check.Explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[] other)));
   rm_rf dir
 
 let suite =

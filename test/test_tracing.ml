@@ -185,10 +185,10 @@ let test_par_explore_traces_and_scaling_detail () =
   let invariants = Core.Scenario.invariants sc in
   let obs, dump = Obs.Reporter.memory () in
   let tracer = Obs.Tracing.create ~domains:2 () in
-  let o = Check.Par_explore.run ~jobs:2 ~obs ~tracer ~invariants model.Core.Model.system in
+  let o = Check.Explore.run ~jobs:2 ~obs ~tracer ~invariants model.Core.Model.system in
   Obs.Reporter.close obs;
-  let seq = Check.Par_explore.run ~jobs:1 ~invariants model.Core.Model.system in
-  Alcotest.(check int) "jobs=2 visits the sequential state count" seq.Check.Explore.states
+  let seq = Check.Explore.run ~jobs:1 ~invariants model.Core.Model.system in
+  Alcotest.(check int) "jobs=2 visits the jobs=1 state count" seq.Check.Explore.states
     o.Check.Explore.states;
   (* spans: both worker lanes carry events, and the work-stealing span
      taxonomy replaces the old barrier one (every worker ends its run
@@ -253,7 +253,7 @@ let test_par_explore_steal_span () =
   let held = Atomic.make false in
   let hooks =
     {
-      Check.Par_explore.no_hooks with
+      Check.Explore.no_hooks with
       on_expand =
         (fun ~worker ~depth ->
           if worker = 0 && depth = 2 && not (Atomic.exchange held true) then
@@ -267,12 +267,12 @@ let test_par_explore_steal_span () =
   let tracer = Obs.Tracing.create ~domains:2 () in
   let seq = Check.Explore.run ~normal_form:false ~invariants:[] (sys ()) in
   let par =
-    Check.Par_explore.run ~jobs:2 ~normal_form:false ~obs ~tracer ~hooks ~invariants:[] (sys ())
+    Check.Explore.run ~jobs:2 ~normal_form:false ~obs ~tracer ~hooks ~invariants:[] (sys ())
   in
   Obs.Reporter.close obs;
   Alcotest.(check bool) "a steal happened" true (Atomic.get stole);
-  Alcotest.(check int) "states still sequential" seq.Check.Explore.states par.Check.Explore.states;
-  Alcotest.(check int) "transitions still sequential" seq.Check.Explore.transitions
+  Alcotest.(check int) "states still the jobs=1 count" seq.Check.Explore.states par.Check.Explore.states;
+  Alcotest.(check int) "transitions still the jobs=1 count" seq.Check.Explore.transitions
     par.Check.Explore.transitions;
   let s = Obs.Json.to_string (Obs.Tracing.to_json tracer) in
   Alcotest.(check bool) "steal span present" true (contains s "\"steal\"");
