@@ -253,6 +253,7 @@ end
 
 let max_jobs = 64
 let pop_batch_size = 8
+let ilist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a))
 
 let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_coverage = false)
     ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null) ?(heartbeat_every = 20_000)
@@ -337,22 +338,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
               Obs.Tracing.span_args tracer ~dom:w ~name:n_disk ~start_ns ~stop_ns
                 ~args:[ ("hit", Obs.Json.Bool hit) ]);
       };
-  (* per-shard resident-bytes gauges (tier-0 occupancy x entry size),
-     refreshed on every heartbeat; own registry so repeated runs in one
-     process do not pile up in the default one *)
-  let gauge_registry = Obs.Metrics.create_registry () in
-  let shard_gauges =
-    if Obs.Reporter.enabled obs then
-      Array.init Store.Tiered.n_shards (fun i ->
-          Obs.Metrics.gauge ~registry:gauge_registry (Fmt.str "bytes_resident.%02d" i))
-    else [||]
-  in
-  let refresh_gauges () =
-    if Array.length shard_gauges > 0 then
-      Array.iteri
-        (fun i b -> Obs.Metrics.set shard_gauges.(i) (float_of_int b))
-        (Store.Tiered.resident_bytes_per_shard seen)
-  in
   let busy_ns = Array.make jobs 0 in
   let idle_ns = Array.make jobs 0 in
   let steals = Array.make jobs 0 in
@@ -592,7 +577,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
             if interval > 0. then float_of_int (!expanded - !hb_expanded) /. interval else 0.
           in
           let gc = Gc.quick_stat () in
-          refresh_gauges ();
           let st = Store.Tiered.stats seen in
           Obs.Reporter.emit obs "heartbeat"
             [
@@ -610,7 +594,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
               ( "spilled_states",
                 Obs.Json.Int
                   (max 0 (Store.Tiered.count seen - st.Store.Tiered.resident_entries)) );
-              ("store", Obs.Metrics.dump ~registry:gauge_registry ());
+              ("bytes_resident_per_shard", ilist (Store.Tiered.resident_bytes_per_shard seen));
             ]
         end;
         flush_span ();
@@ -917,7 +901,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
     let isum a = Array.fold_left ( + ) 0 a in
     let est = Obs.Contention.estimate ~jobs ~wall_s:elapsed ~busy_per_domain:busy_s in
     let flist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Float v) a)) in
-    let ilist a = Obs.Json.List (Array.to_list (Array.map (fun v -> Obs.Json.Int v) a)) in
     let st = Store.Tiered.stats seen in
     Obs.Reporter.emit obs "scaling-detail"
       ([

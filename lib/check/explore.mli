@@ -137,8 +137,8 @@ val max_jobs : int
            every [heartbeat_every] expansions, tagged with a [domain]
            index (the [frontier] field reports the pending-task count)
            and carrying store occupancy ([bytes_resident], [mem_budget],
-           [segments], [spilled_states], and a [store] metrics dump with
-           a per-shard [bytes_resident.NN] gauge each); each worker
+           [segments], [spilled_states], and the per-shard
+           [bytes_resident_per_shard] list); each worker
            reports its own per-[invariant] records (eval count,
            cumulative seconds, first-violation attribution; aggregate
            across domains for totals).  The run ends with one [profile]

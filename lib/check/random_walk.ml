@@ -202,9 +202,8 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
    from the root seed and its domain index, so the swarm covers [jobs]
    independent schedule streams.  The first domain to find a violation
    raises a shared stop flag that the others poll every step.  Counters are
-   aggregated through Obs atomic metrics in a swarm-private registry (so
-   repeated swarms do not pile up registrations in the process-wide one);
-   the aggregate is attached to the swarm's outcome record. *)
+   summed from the joined per-domain outcomes into the swarm's outcome
+   record, which has the single walker's fields. *)
 
 let derive_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 
@@ -217,10 +216,6 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
       ?reducer ~invariants initial
   else begin
     let t0 = Unix.gettimeofday () in
-    let registry = Obs.Metrics.create_registry () in
-    let m_steps = Obs.Metrics.acounter ~registry "walk.swarm.steps" in
-    let m_runs = Obs.Metrics.acounter ~registry "walk.swarm.runs" in
-    let m_restarts = Obs.Metrics.acounter ~registry "walk.swarm.restarts" in
     let stop = Atomic.make false in
     let should_stop () = Atomic.get stop in
     (* split the step budget across domains; the first [steps mod jobs]
@@ -232,9 +227,6 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
           ~trace_tail ~obs ~tracer ~heartbeat_every ~should_stop ~domain:k ?reducer ~invariants
           initial
       in
-      Obs.Metrics.aadd m_steps o.steps_taken;
-      Obs.Metrics.aadd m_runs o.runs;
-      Obs.Metrics.aadd m_restarts o.restarts;
       if o.violation <> None then Atomic.set stop true;
       o
     in
@@ -244,22 +236,25 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
     (* lowest-domain-index winner; when no domain found one, None *)
     let violation = List.find_map (fun o -> o.violation) outcomes in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let steps_taken = Obs.Metrics.acount m_steps in
-    let runs = Obs.Metrics.acount m_runs in
-    let restarts = Obs.Metrics.acount m_restarts in
+    let sum f = List.fold_left (fun n o -> n + f o) 0 outcomes in
+    let steps_taken = sum (fun o -> o.steps_taken) in
+    let runs = sum (fun o -> o.runs) in
+    let restarts = sum (fun o -> o.restarts) in
     if Obs.Reporter.enabled obs then begin
       let rate = if elapsed > 0. then float_of_int steps_taken /. elapsed else 0. in
       Obs.Reporter.emit obs "outcome"
         [
           ("checker", Obs.Json.String "walk-swarm");
           ("jobs", Obs.Json.Int jobs);
+          ("steps", Obs.Json.Int steps_taken);
+          ("runs", Obs.Json.Int runs);
+          ("dead_end_restarts", Obs.Json.Int restarts);
           ( "violation",
             match violation with
             | None -> Obs.Json.Null
             | Some tr -> Obs.Json.String tr.Trace.broken );
           ("elapsed_s", Obs.Json.Float elapsed);
           ("steps_per_sec", Obs.Json.Float rate);
-          ("metrics", Obs.Metrics.dump ~registry ());
         ];
       Obs.Reporter.emit obs "scaling"
         [

@@ -40,15 +40,6 @@ type lock_stats = { acquires : int; contended : int; wait_ns : int; max_wait_ns 
 let lock_stats (l : lock) =
   { acquires = l.acquires; contended = l.contended; wait_ns = l.wait_ns; max_wait_ns = l.max_wait_ns }
 
-let lock_stats_json s =
-  Json.Obj
-    [
-      ("acquires", Json.Int s.acquires);
-      ("contended", Json.Int s.contended);
-      ("wait_s", Json.Float (Clock.ns_to_s s.wait_ns));
-      ("max_wait_s", Json.Float (Clock.ns_to_s s.max_wait_ns));
-    ]
-
 let shard_summary locks =
   let acquires = ref 0 and contended = ref 0 and wait = ref 0 and mx = ref 0 in
   let waits =

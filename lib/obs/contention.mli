@@ -35,8 +35,6 @@ type lock_stats = {
     currently racing the lock (e.g. after a join). *)
 val lock_stats : lock -> lock_stats
 
-val lock_stats_json : lock_stats -> Json.t
-
 (** Aggregate stats over a shard array, plus a per-shard wait breakdown
     (seconds, index-aligned with the input). *)
 val shard_summary : lock array -> lock_stats * float array

@@ -223,20 +223,3 @@ let to_json t =
           ("min_ns", Json.Int s.min_ns);
           ("max_ns", Json.Int s.max_ns);
         ]
-
-type recorder = {
-  h : t;
-  clock : unit -> int;
-  expected_interval_ns : int;
-  mutable last_ns : int; (* < 0 = not yet armed *)
-}
-
-let recorder ?(clock = Clock.monotonic_ns) ?(expected_interval_ns = 0) h =
-  { h; clock; expected_interval_ns; last_ns = -1 }
-
-let tick r =
-  let now = r.clock () in
-  if r.last_ns >= 0 then
-    record_corrected r.h ~expected_interval_ns:r.expected_interval_ns
-      (now - r.last_ns);
-  r.last_ns <- now

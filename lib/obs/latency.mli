@@ -32,8 +32,7 @@
     {!record_corrected} applies the standard HdrHistogram back-fill:
     after recording a value [v] exceeding the expected interval [T], it
     also records [v - T], [v - 2T], ... while the remainder is at least
-    [T] — the latencies the omitted occurrences would have seen.
-    {!recorder} packages this for tick-style use. *)
+    [T] — the latencies the omitted occurrences would have seen. *)
 
 type t
 
@@ -89,20 +88,6 @@ val snapshot : t -> snapshot option
     histograms emit [count = 0] and [null] for every other field —
     never [NaN]. *)
 val to_json : t -> Json.t
-
-(** {1 Interval recorder} — periodic operations, tick-to-tick. *)
-
-type recorder
-
-(** [recorder h] times successive {!tick}s into [h].  [clock] (default
-    {!Clock.monotonic_ns}) is injectable for deterministic tests.  A
-    positive [expected_interval_ns] enables coordinated-omission
-    back-fill on every recorded interval. *)
-val recorder : ?clock:(unit -> int) -> ?expected_interval_ns:int -> t -> recorder
-
-(** The first tick arms the recorder; each subsequent tick records the
-    time since the previous one (with back-fill if configured). *)
-val tick : recorder -> unit
 
 (** {1 Bucket arithmetic} — exposed for boundary tests. *)
 

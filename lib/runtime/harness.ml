@@ -128,7 +128,7 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
       cas_attempts = Atomic.get sh.Rshared.cas_attempts;
       cas_wins = Atomic.get sh.Rshared.cas_wins;
       barrier_fast_path = Atomic.get sh.Rshared.barrier_fast_path;
-      hs_rounds = Obs.Metrics.acount sh.Rshared.hs_rounds;
+      hs_rounds = Atomic.get sh.Rshared.hs_rounds;
       live_at_end = Rheap.live_count sh.Rshared.heap;
       alloc_stalls = Atomic.get sh.Rshared.lat.Rshared.alloc_stalls;
       latency = Rshared.latency_json sh;
@@ -149,7 +149,6 @@ let run ?(n_muts = 2) ?(n_slots = 256) ?(n_fields = 2) ?(duration = 0.5) ?(barri
         ("cas_wins", Obs.Json.Int stats.cas_wins);
         ("barrier_fast_path", Obs.Json.Int stats.barrier_fast_path);
         ("hs_rounds", Obs.Json.Int stats.hs_rounds);
-        ("hs_latency", Obs.Metrics.hsnapshot sh.Rshared.hs_latency);
         ("latency", stats.latency);
         ("live_at_end", Obs.Json.Int stats.live_at_end);
         ( "violation",

@@ -32,7 +32,7 @@ let handshake sh typ =
     sh.hs_req;
   (* round latency: a ragged handshake is only done once the slowest
      mutator acked, so this is the collector-observed stall.  Single
-     writer (the collector), so a plain histogram suffices. *)
+     writer (the collector), so the round histograms have one lane. *)
   let t1_ns = Obs.Clock.monotonic_ns () in
   let dt_ns = t1_ns - t0_ns in
   let dt = float_of_int dt_ns *. 1e-9 in
@@ -40,8 +40,7 @@ let handshake sh typ =
     Obs.Tracing.span_between sh.tracer ~dom:0
       ~name:(Obs.Tracing.intern sh.tracer (hs_span_name typ))
       ~start_ns:t0_ns ~stop_ns:t1_ns;
-  Obs.Metrics.aincr sh.hs_rounds;
-  Obs.Metrics.observe sh.hs_latency dt;
+  Atomic.incr sh.hs_rounds;
   if sh.lat.lat_on then begin
     (* whole-round history gets the coordinated-omission treatment when
        configured (rounds are the runtime's periodic heartbeat); the

@@ -66,17 +66,13 @@ type t = {
   cas_attempts : int Atomic.t;
   cas_wins : int Atomic.t;
   barrier_fast_path : int Atomic.t;
-  (* observability: a per-instance metrics registry (the harness and the
-     bench create many instances; registering into the process-wide
-     registry would accumulate dead metrics) and an event reporter used by
-     the collector for per-cycle records *)
+  hs_rounds : int Atomic.t;  (* handshake rounds completed *)
+  (* observability: an event reporter used by the collector for per-cycle
+     records *)
   obs : Obs.Reporter.t;
   tracer : Obs.Tracing.t;
     (* span tracer; lane 0 is the collector's timeline (handshake rounds,
        mark/sweep stages, whole cycles), lanes 1..n_muts the mutators' *)
-  registry : Obs.Metrics.registry;
-  hs_rounds : Obs.Metrics.acounter;  (* handshake rounds completed *)
-  hs_latency : Obs.Metrics.histogram;  (* seconds per round; collector-only writer *)
   lat : lat;
   hb_every_ns : int;  (* min interval between runtime-heartbeat records *)
 }
@@ -108,7 +104,6 @@ let make_lat ~latency ~co_interval_ns ~n_muts =
 let make ?(trace_pause = 0.) ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.null)
     ?(latency = true) ?(co_interval_ns = 0) ?(heartbeat_every_s = 0.1) ~n_slots
     ~n_fields ~n_muts () =
-  let registry = Obs.Metrics.create_registry () in
   {
     heap = Rheap.make ~n_slots ~n_fields;
     trace_pause;
@@ -124,11 +119,9 @@ let make ?(trace_pause = 0.) ?(obs = Obs.Reporter.null) ?(tracer = Obs.Tracing.n
     cas_attempts = Atomic.make 0;
     cas_wins = Atomic.make 0;
     barrier_fast_path = Atomic.make 0;
+    hs_rounds = Atomic.make 0;
     obs;
     tracer;
-    registry;
-    hs_rounds = Obs.Metrics.acounter ~registry "hs_rounds";
-    hs_latency = Obs.Metrics.histogram ~registry "hs_latency_s";
     lat = make_lat ~latency ~co_interval_ns ~n_muts;
     hb_every_ns = int_of_float (heartbeat_every_s *. 1e9);
   }

@@ -132,11 +132,12 @@ val max_depth : t -> int
 val locks : t -> Obs.Contention.lock array
 (** The per-shard instrumented locks, for contention attribution. *)
 
-(** Racy sums, safe to read concurrently (heartbeat gauges). *)
+(** Racy sums, safe to read concurrently (heartbeats). *)
 val resident_bytes : t -> int
 
 val resident_bytes_per_shard : t -> int array
-(** Racy per-shard occupancy gauges (heartbeat [bytes_resident.NN]). *)
+(** Racy per-shard occupancy, one entry per shard (heartbeat and
+    outcome [bytes_resident_per_shard]). *)
 
 val stats : t -> stats
 (** Racy counter snapshot ({!type:stats}); exact once quiescent. *)

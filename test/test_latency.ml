@@ -145,30 +145,6 @@ let test_co_backfill_arithmetic () =
   L.record_corrected h2 ~expected_interval_ns:0 35;
   Alcotest.(check int) "no back-fill when disabled" 1 (L.count h2)
 
-let test_recorder_stub_clock () =
-  (* deterministic stub clock: ticks at 0, 10, 20, 60 give intervals
-     10, 10, 40; the stalled 40 back-fills 30, 20 and 10 *)
-  let times = ref [ 0; 10; 20; 60 ] in
-  let clock () =
-    match !times with
-    | t :: rest ->
-      times := rest;
-      t
-    | [] -> Alcotest.fail "stub clock exhausted"
-  in
-  let h = L.create ~lanes:1 "ticks" in
-  let r = L.recorder ~clock ~expected_interval_ns:10 h in
-  L.tick r;
-  (* arms *)
-  L.tick r;
-  L.tick r;
-  L.tick r;
-  Alcotest.(check int) "3 intervals + 3 back-fills" 6 (L.count h);
-  Alcotest.(check (option int)) "max is the stalled interval" (Some 40) (L.max_ns h);
-  match L.snapshot h with
-  | None -> Alcotest.fail "empty after ticks"
-  | Some s -> Alcotest.(check (float 1e-9)) "sum is 120" (120. /. 6.) s.L.mean_ns
-
 (* -- runtime integration ------------------------------------------------------- *)
 
 let record_fields r =
@@ -271,7 +247,6 @@ let suite =
     Alcotest.test_case "merge: 4-domain == single-writer" `Quick test_merge_determinism;
     Alcotest.test_case "merge: concurrent records are exact" `Quick test_concurrent_hammer_exact;
     Alcotest.test_case "co: back-fill arithmetic" `Quick test_co_backfill_arithmetic;
-    Alcotest.test_case "co: recorder under stub clock" `Quick test_recorder_stub_clock;
     Alcotest.test_case "runtime: latency section and heartbeat" `Quick
       test_runtime_latency_section_and_heartbeat;
     Alcotest.test_case "dashboard: runtime panel renders" `Quick test_dashboard_runtime_panel;

@@ -1,7 +1,6 @@
-(* Tests for the observability layer: the JSON codec, metrics (including
-   atomic counters under real domains), reporter sinks and spec parsing,
-   Trace JSON export round-trips, and the instrumentation wired into the
-   checkers and the multicore harness. *)
+(* Tests for the observability layer: the JSON codec, reporter sinks and
+   spec parsing, Trace JSON export round-trips, and the instrumentation
+   wired into the checkers and the multicore harness. *)
 
 open Cimp
 
@@ -82,79 +81,6 @@ let test_json_nonfinite_floats () =
   match Obs.Json.of_string s with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "nan/inf serialization unparseable (%s): %s" s msg
-
-(* -- Metrics ----------------------------------------------------------------- *)
-
-let test_counters_and_gauges () =
-  let reg = Obs.Metrics.create_registry () in
-  let c = Obs.Metrics.counter ~registry:reg "states" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 9;
-  Alcotest.(check int) "plain counter" 10 (Obs.Metrics.count c);
-  let g = Obs.Metrics.gauge ~registry:reg "depth" in
-  Obs.Metrics.set g 3.5;
-  Alcotest.(check (float 0.)) "gauge" 3.5 (Obs.Metrics.value g);
-  match Obs.Metrics.dump ~registry:reg () with
-  | Obs.Json.Obj fields ->
-    Alcotest.(check bool) "dump has both metrics" true
-      (List.mem_assoc "states" fields && List.mem_assoc "depth" fields)
-  | j -> Alcotest.failf "dump is not an object: %s" (Obs.Json.to_string j)
-
-let test_histogram_exact_percentiles () =
-  let h = Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) "lat" in
-  for i = 100 downto 1 do
-    Obs.Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "observations" 100 (Obs.Metrics.observations h);
-  Alcotest.(check (float 0.)) "p50" 50. (Obs.Metrics.percentile h 50.);
-  Alcotest.(check (float 0.)) "p90" 90. (Obs.Metrics.percentile h 90.);
-  Alcotest.(check (float 0.)) "p99" 99. (Obs.Metrics.percentile h 99.);
-  Alcotest.(check (float 0.)) "p100" 100. (Obs.Metrics.percentile h 100.);
-  Alcotest.(check (float 0.)) "min" 1. (Obs.Metrics.hmin h);
-  Alcotest.(check (float 0.)) "max" 100. (Obs.Metrics.hmax h);
-  Alcotest.(check (float 1e-9)) "mean" 50.5 (Obs.Metrics.mean h)
-
-let test_histogram_reservoir () =
-  let h =
-    Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) ~capacity:64 "lat"
-  in
-  for i = 1 to 10_000 do
-    Obs.Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "observations count everything" 10_000 (Obs.Metrics.observations h);
-  Alcotest.(check (float 0.)) "min survives sampling" 1. (Obs.Metrics.hmin h);
-  Alcotest.(check (float 0.)) "max survives sampling" 10_000. (Obs.Metrics.hmax h);
-  let p50 = Obs.Metrics.percentile h 50. in
-  Alcotest.(check bool) "p50 inside the observed range" true (p50 >= 1. && p50 <= 10_000.);
-  match Obs.Metrics.hsnapshot h with
-  | Obs.Json.Obj fields ->
-    Alcotest.check json "snapshot count" (Obs.Json.Int 10_000) (List.assoc "count" fields)
-  | j -> Alcotest.failf "hsnapshot is not an object: %s" (Obs.Json.to_string j)
-
-let test_empty_histogram_snapshot () =
-  (* regression: an empty histogram's snapshot must be count=0 with
-     explicit nulls, not NaN-valued stats relying on the JSON writer to
-     degrade them *)
-  let h = Obs.Metrics.histogram ~registry:(Obs.Metrics.create_registry ()) "empty" in
-  match Obs.Metrics.hsnapshot h with
-  | Obs.Json.Obj fields ->
-    Alcotest.check json "count is zero" (Obs.Json.Int 0) (List.assoc "count" fields);
-    List.iter
-      (fun k -> Alcotest.check json (k ^ " is null") Obs.Json.Null (List.assoc k fields))
-      [ "mean"; "p50"; "p90"; "p99"; "min"; "max" ]
-  | j -> Alcotest.failf "hsnapshot is not an object: %s" (Obs.Json.to_string j)
-
-let test_atomic_counter_under_domains () =
-  let c = Obs.Metrics.acounter ~registry:(Obs.Metrics.create_registry ()) "cas" in
-  let per_domain = 10_000 in
-  let worker () =
-    for _ = 1 to per_domain do
-      Obs.Metrics.aincr c
-    done
-  in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "4 domains x 10k increments" (4 * per_domain) (Obs.Metrics.acount c)
 
 (* -- Reporter ---------------------------------------------------------------- *)
 
@@ -362,6 +288,87 @@ let test_random_walk_counts_restarts () =
   Alcotest.(check bool) "every restart is also a run" true
     (o.Check.Random_walk.runs > o.Check.Random_walk.restarts)
 
+let str_field fields k =
+  match List.assoc_opt k fields with
+  | Some (Obs.Json.String v) -> v
+  | Some j -> Alcotest.failf "field %s is not a string: %s" k (Obs.Json.to_string j)
+  | None -> Alcotest.failf "field %s missing" k
+
+let test_swarm_outcome_schema () =
+  (* the swarm's outcome carries the single walker's counter fields, each
+     the sum of the per-domain walkers' outcomes *)
+  let p : com =
+    Com.seq
+      [
+        Com.assign "a" (fun s -> s + 1);
+        Com.assign "b" (fun s -> s + 1);
+        Com.assign "c" (fun s -> s + 1);
+      ]
+  in
+  let sys = System.make [| "p" |] [| proc p 0 |] in
+  let obs, dump = Obs.Reporter.memory () in
+  let o =
+    Check.Random_walk.swarm ~jobs:3 ~steps:100 ~normal_form:false ~obs ~invariants:[] sys
+  in
+  Obs.Reporter.close obs;
+  let outcomes = records_of_event "outcome" (dump ()) in
+  let by_checker c = List.filter (fun f -> str_field f "checker" = c) outcomes in
+  let swarm = by_checker "walk-swarm" and walkers = by_checker "walk" in
+  Alcotest.(check int) "one swarm outcome" 1 (List.length swarm);
+  Alcotest.(check int) "one walker outcome per domain" 3 (List.length walkers);
+  let fields = List.hd swarm in
+  Alcotest.(check int) "steps is the whole budget" 100 (int_field fields "steps");
+  Alcotest.(check bool) "no nested metrics object" false (List.mem_assoc "metrics" fields);
+  List.iter
+    (fun k ->
+      Alcotest.(check int)
+        (k ^ " sums the domains")
+        (List.fold_left (fun n f -> n + int_field f k) 0 walkers)
+        (int_field fields k))
+    [ "steps"; "runs"; "dead_end_restarts" ];
+  Alcotest.(check int) "record agrees with the result" o.Check.Random_walk.restarts
+    (int_field fields "dead_end_restarts")
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+    Sys.rmdir p
+  end
+  else Sys.remove p
+
+let test_explore_heartbeat_store_schema () =
+  (* a budget small enough to spill: each heartbeat reports tier-0
+     occupancy as one integer per seen-set shard *)
+  let p : com =
+    Com.While (("w" : Label.t), (fun s -> s < 60), Com.Local_op ("step", fun s -> [ s + 1; s + 3 ]))
+  in
+  let sys = System.make [| "p"; "q" |] [| proc p 0; proc p 0 |] in
+  let dir = Filename.temp_file "obs_spill" "" in
+  Sys.remove dir;
+  let obs, dump = Obs.Reporter.memory () in
+  let _ =
+    Check.Explore.run ~normal_form:false ~heartbeat_every:200
+      ~mem_budget:(Store.Tiered.n_shards * 20 * Store.Tiered.entry_bytes) ~spill_dir:dir ~obs
+      ~invariants:[] sys
+  in
+  Obs.Reporter.close obs;
+  rm_rf dir;
+  let heartbeats = records_of_event "heartbeat" (dump ()) in
+  Alcotest.(check bool) "heartbeats fired" true (heartbeats <> []);
+  List.iter
+    (fun fields ->
+      Alcotest.(check bool) "no nested store object" false (List.mem_assoc "store" fields);
+      match List.assoc_opt "bytes_resident_per_shard" fields with
+      | Some (Obs.Json.List bs) ->
+        Alcotest.(check int) "one entry per shard" Store.Tiered.n_shards (List.length bs);
+        List.iter
+          (function
+            | Obs.Json.Int b -> Alcotest.(check bool) "occupancy is non-negative" true (b >= 0)
+            | j -> Alcotest.failf "shard occupancy is not an int: %s" (Obs.Json.to_string j))
+          bs
+      | _ -> Alcotest.fail "heartbeat lacks bytes_resident_per_shard")
+    heartbeats
+
 (* -- Runtime instrumentation ------------------------------------------------- *)
 
 let test_harness_emits_records () =
@@ -394,14 +401,6 @@ let suite =
     Alcotest.test_case "json: plain forms parse" `Quick test_json_parses_plain_forms;
     Alcotest.test_case "json: garbage rejected" `Quick test_json_rejects_garbage;
     Alcotest.test_case "json: non-finite floats stay parseable" `Quick test_json_nonfinite_floats;
-    Alcotest.test_case "metrics: counters and gauges" `Quick test_counters_and_gauges;
-    Alcotest.test_case "metrics: exact percentiles under capacity" `Quick
-      test_histogram_exact_percentiles;
-    Alcotest.test_case "metrics: reservoir over capacity" `Quick test_histogram_reservoir;
-    Alcotest.test_case "metrics: empty histogram snapshot is nulls" `Quick
-      test_empty_histogram_snapshot;
-    Alcotest.test_case "metrics: atomic counter under 4 domains" `Quick
-      test_atomic_counter_under_domains;
     Alcotest.test_case "reporter: memory sink and lifecycle" `Quick test_reporter_memory_sink;
     Alcotest.test_case "reporter: spec parsing" `Quick test_reporter_spec_parsing;
     Alcotest.test_case "trace: event JSON round-trip" `Quick test_event_json_roundtrip;
@@ -414,5 +413,9 @@ let suite =
     Alcotest.test_case "walk: counterexample memory bounded by trace_tail" `Quick
       test_random_walk_trace_tail;
     Alcotest.test_case "walk: dead-end restarts counted" `Quick test_random_walk_counts_restarts;
+    Alcotest.test_case "walk: swarm outcome has the walker's fields" `Quick
+      test_swarm_outcome_schema;
+    Alcotest.test_case "explore: heartbeat reports per-shard residency" `Quick
+      test_explore_heartbeat_store_schema;
     Alcotest.test_case "harness: gc-cycle and harness records" `Quick test_harness_emits_records;
   ]
