@@ -1,32 +1,50 @@
-(* gcmodel — command-line driver for the collector model.
-
-   Subcommands:
-     explore   exhaustive BFS over a configured instance
-     walk      randomized deep run
-     variants  list the named variants and their expectations
-     shapes    list the initial heap shapes
-     dump      print the initial state of a configured instance
-*)
+(* gcmodel — command-line driver for the collector model: exhaustive and
+   randomized checking, checkpoints, certificates, forensics, the mutation
+   campaign, the concrete runtime harness and the generated manuals
+   (`gcmodel --help` lists the subcommands). *)
 
 open Cmdliner
 
-(* raw model flags, kept separate from the resolved Config.t so explore
-   can echo them verbatim into checkpoint manifests and resume can
-   rebuild the identical instance *)
-type raw_cfg = {
-  muts : int;
-  refs : int;
-  fields : int;
-  buf : int;
-  cycles : int;
-  ops : int;
-  variant : string;
-  no_ops : string list;
-  mutant : string option;
-}
+(* -- the checked instance ------------------------------------------------------
 
-let raw_cfg_term =
-  let open Term in
+   Every subcommand that checks a model takes it from [scenario_term]:
+   the model flags resolve to one Core.Scenario.t, labelled with the
+   variant (and the armed mutant, if any).  Checkpoint manifests and
+   certificate headers store that scenario's JSON form, and resume and
+   recheck rebuild the model from it (Core.Scenario.of_json), never by
+   resolving flags a second time. *)
+
+let arm_mutant cfg name =
+  if String.starts_with ~prefix:"variant:" name then
+    match Core.Variants.by_name (String.sub name 8 (String.length name - 8)) with
+    | Some v -> Ok (v.Core.Variants.tweak cfg)
+    | None -> Error (Fmt.str "unknown variant mutant %s" name)
+  else (
+    (* resolve against the instance, falling back to a site-rich
+       configuration: arming a mutation whose site is absent is a
+       harmless no-op, and triage stubs quote mutant names from the
+       campaign's enumeration configuration *)
+    let fat =
+      {
+        cfg with
+        Core.Config.max_cycles = max 2 cfg.Core.Config.max_cycles;
+        max_mut_ops = 3;
+        mut_load = true;
+        mut_store = true;
+        mut_alloc = true;
+        mut_discard = true;
+      }
+    in
+    match
+      match Mutate.Operators.by_name cfg name with
+      | Some m -> Some m
+      | None -> Mutate.Operators.by_name fat name
+    with
+    | Some m -> Ok (Mutate.Operators.tweak m cfg)
+    | None -> Error (Fmt.str "unknown mutant %s (see `gcmodel campaign --list`)" name))
+
+(* the model flags, resolved to (label, configuration) *)
+let config_term =
   let muts = Arg.(value & opt int 1 & info [ "muts" ] ~doc:"Number of mutators.") in
   let refs = Arg.(value & opt int 3 & info [ "refs" ] ~doc:"Heap size (references).") in
   let fields = Arg.(value & opt int 1 & info [ "fields" ] ~doc:"Fields per object.") in
@@ -53,17 +71,10 @@ let raw_cfg_term =
              $(b,drop-fence:gc:hs2:store-fence), or $(b,variant:NAME) for an ablation) on \
              top of the configured instance.  Survivor triage stubs reference this flag.")
   in
-  let mk muts refs fields buf cycles ops variant no_ops mutant =
-    { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant }
-  in
-  const mk $ muts $ refs $ fields $ buf $ cycles $ ops $ variant $ no_ops $ mutant
-
-let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant } =
-  let build muts refs fields buf cycles ops variant no_ops mutant =
-    let v =
-      match Core.Variants.by_name variant with
-      | Some v -> v
-      | None -> Fmt.failwith "unknown variant %s" variant
+  let resolve muts refs fields buf cycles ops variant no_ops mutant =
+    let ( let* ) = Result.bind in
+    let* v =
+      Option.to_result ~none:(Fmt.str "unknown variant %s" variant) (Core.Variants.by_name variant)
     in
     let cfg =
       v.Core.Variants.tweak
@@ -77,58 +88,38 @@ let resolve_cfg { muts; refs; fields; buf; cycles; ops; variant; no_ops; mutant 
           max_mut_ops = ops;
         }
     in
-    let dis name cfg =
-      match name with
-      | "load" -> { cfg with Core.Config.mut_load = false }
-      | "store" -> { cfg with Core.Config.mut_store = false }
-      | "alloc" -> { cfg with Core.Config.mut_alloc = false }
-      | "discard" -> { cfg with Core.Config.mut_discard = false }
-      | "mfence" -> { cfg with Core.Config.mut_mfence = false }
-      | s -> Fmt.failwith "unknown op %s" s
+    let disable cfg = function
+      | "load" -> Ok { cfg with Core.Config.mut_load = false }
+      | "store" -> Ok { cfg with Core.Config.mut_store = false }
+      | "alloc" -> Ok { cfg with Core.Config.mut_alloc = false }
+      | "discard" -> Ok { cfg with Core.Config.mut_discard = false }
+      | "mfence" -> Ok { cfg with Core.Config.mut_mfence = false }
+      | s -> Error (Fmt.str "unknown op %s" s)
     in
-    let cfg = List.fold_left (fun c n -> dis n c) cfg no_ops in
-    let cfg =
-      match mutant with
-      | None -> cfg
-      | Some name -> (
-        match String.length name >= 8 && String.sub name 0 8 = "variant:" with
-        | true -> (
-          let vname = String.sub name 8 (String.length name - 8) in
-          match Core.Variants.by_name vname with
-          | Some v -> v.Core.Variants.tweak cfg
-          | None -> Fmt.failwith "unknown variant mutant %s" name)
-        | false -> (
-          (* resolve against the instance, falling back to a site-rich
-             configuration: arming a mutation whose site is absent is a
-             harmless no-op, and triage stubs quote mutant names from the
-             campaign's enumeration configuration *)
-          let fat =
-            {
-              cfg with
-              Core.Config.max_cycles = max 2 cfg.Core.Config.max_cycles;
-              max_mut_ops = 3;
-              mut_load = true;
-              mut_store = true;
-              mut_alloc = true;
-              mut_discard = true;
-            }
-          in
-          match
-            match Mutate.Operators.by_name cfg name with
-            | Some m -> Some m
-            | None -> Mutate.Operators.by_name fat name
-          with
-          | Some m -> Mutate.Operators.tweak m cfg
-          | None -> Fmt.failwith "unknown mutant %s (see `gcmodel campaign --list`)" name))
-    in
-    (cfg, v)
+    let* cfg = List.fold_left (fun acc n -> Result.bind acc (fun c -> disable c n)) (Ok cfg) no_ops in
+    match mutant with
+    | None -> Ok (variant, cfg)
+    | Some name ->
+      let* cfg = arm_mutant cfg name in
+      Ok (variant ^ "+" ^ name, cfg)
   in
-  build muts refs fields buf cycles ops variant no_ops mutant
+  Term.(
+    term_result'
+      (const resolve $ muts $ refs $ fields $ buf $ cycles $ ops $ variant $ no_ops $ mutant))
 
-let cfg_term = Term.(const resolve_cfg $ raw_cfg_term)
+let shape_name sc = sc.Core.Scenario.shape.Gcheap.Shapes.name
 
-let shape_term =
-  Arg.(value & opt string "single" & info [ "shape" ] ~doc:"Initial heap shape (see $(b,shapes)).")
+let pp_instance ppf sc =
+  let cfg = sc.Core.Scenario.cfg in
+  Fmt.pf ppf "variant=%s shape=%s muts=%d refs=%d" sc.Core.Scenario.label (shape_name sc)
+    cfg.Core.Config.n_muts cfg.Core.Config.n_refs
+
+let scenario_term =
+  let shape =
+    Arg.(value & opt string "single" & info [ "shape" ] ~doc:"Initial heap shape (see $(b,shapes)).")
+  in
+  let make (label, cfg) shape = Core.Scenario.of_config ~label ~shape cfg in
+  Term.(term_result' (const make $ config_term $ shape))
 
 let obs_term =
   let doc = Fmt.str "Observability sink: %s." Obs.Reporter.spec_doc in
@@ -239,78 +230,56 @@ let checkpoint_every_term =
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:"States between checkpoints (with $(b,--checkpoint); default 50000).")
 
-(* everything needed to rebuild the instance and flags at resume *)
-let run_config_json (raw : raw_cfg) ~shape ~safety_only ~max_states ~jobs ~reduce ~mem_budget
-    ~checkpoint_every =
+(* One exhaustive exploration: the instance plus the run parameters.
+   Checkpoint manifests store exactly this, so resume continues with the
+   interrupted run's settings. *)
+type exploration = {
+  sc : Core.Scenario.t;
+  safety_only : bool;
+  max_states : int;
+  jobs : int;
+  reduce : Reduce.Mode.t;
+  mem_budget : int option;
+  checkpoint_every : int;
+}
+
+let manifest_json e =
   Obs.Json.Obj
     [
-      ("muts", Obs.Json.Int raw.muts);
-      ("refs", Obs.Json.Int raw.refs);
-      ("fields", Obs.Json.Int raw.fields);
-      ("buf", Obs.Json.Int raw.buf);
-      ("cycles", Obs.Json.Int raw.cycles);
-      ("ops", Obs.Json.Int raw.ops);
-      ("variant", Obs.Json.String raw.variant);
-      ("disable", Obs.Json.List (List.map (fun s -> Obs.Json.String s) raw.no_ops));
-      ( "mutant",
-        match raw.mutant with None -> Obs.Json.Null | Some m -> Obs.Json.String m );
-      ("shape", Obs.Json.String shape);
-      ("safety_only", Obs.Json.Bool safety_only);
-      ("max_states", Obs.Json.Int max_states);
-      ("jobs", Obs.Json.Int jobs);
-      ("reduce", Obs.Json.String (Reduce.Mode.to_string reduce));
-      ( "mem_budget",
-        match mem_budget with None -> Obs.Json.Null | Some b -> Obs.Json.Int b );
-      ("checkpoint_every", Obs.Json.Int checkpoint_every);
+      ("scenario", Core.Scenario.to_json e.sc);
+      ("safety_only", Obs.Json.Bool e.safety_only);
+      ("max_states", Obs.Json.Int e.max_states);
+      ("jobs", Obs.Json.Int e.jobs);
+      ("reduce", Obs.Json.String (Reduce.Mode.to_string e.reduce));
+      ("mem_budget", match e.mem_budget with None -> Obs.Json.Null | Some b -> Obs.Json.Int b);
+      ("checkpoint_every", Obs.Json.Int e.checkpoint_every);
     ]
 
-let run_config_parse json =
+let exploration_of_manifest json =
   let open Obs.Json in
-  let int_field name d =
-    match Option.bind (member name json) to_int with Some v -> v | None -> d
+  let ( let* ) = Result.bind in
+  let field name conv =
+    Option.to_result
+      ~none:(Fmt.str "manifest field %S missing or ill-typed" name)
+      (Option.bind (member name json) conv)
   in
-  let str_field name d =
-    match Option.bind (member name json) to_string_opt with Some s -> s | None -> d
+  let* scenario =
+    Option.to_result
+      ~none:
+        "manifest has no \"scenario\" object: the checkpoint predates the scenario \
+         manifest format and cannot be resumed; re-run explore --checkpoint"
+      (member "scenario" json)
   in
-  let raw =
-    {
-      muts = int_field "muts" 1;
-      refs = int_field "refs" 3;
-      fields = int_field "fields" 1;
-      buf = int_field "buf" 1;
-      cycles = int_field "cycles" 1;
-      ops = int_field "ops" 2;
-      variant = str_field "variant" "paper";
-      no_ops =
-        (match Option.bind (member "disable" json) to_list with
-        | Some l -> List.filter_map to_string_opt l
-        | None -> []);
-      mutant = Option.bind (member "mutant" json) to_string_opt;
-    }
+  let* sc = Result.map_error (Fmt.str "manifest: %s") (Core.Scenario.of_json scenario) in
+  let* safety_only = field "safety_only" to_bool in
+  let* max_states = field "max_states" to_int in
+  let* jobs = field "jobs" to_int in
+  let* reduce = Result.bind (field "reduce" to_string_opt) Reduce.Mode.of_string in
+  let* mem_budget =
+    field "mem_budget" (function Null -> Some None | Int b -> Some (Some b) | _ -> None)
   in
-  let reduce =
-    match Reduce.Mode.of_string (str_field "reduce" "all") with Ok m -> m | Error _ -> Reduce.Mode.All
-  in
-  let mem_budget = Option.bind (member "mem_budget" json) to_int in
-  ( raw,
-    str_field "shape" "single",
-    (match Option.bind (member "safety_only" json) to_bool with Some b -> b | None -> false),
-    int_field "max_states" 10_000_000,
-    int_field "jobs" 1,
-    reduce,
-    mem_budget,
-    int_field "checkpoint_every" 50_000 )
-
-let model_of (cfg, _v) shape =
-  match Gcheap.Shapes.by_name ~n_refs:cfg.Core.Config.n_refs ~n_fields:cfg.Core.Config.n_fields shape with
-  | None -> Fmt.failwith "unknown shape %s" shape
-  | Some s -> Core.Model.make cfg s
-
-let invariants_of cfg safety_only =
-  let invs =
-    if safety_only then Core.Invariants.safety_invariants cfg else Core.Invariants.all cfg
-  in
-  List.map (fun i -> (i.Core.Invariants.name, i.Core.Invariants.check)) invs
+  let* checkpoint_every = field "checkpoint_every" to_int in
+  Ok { sc; safety_only; max_states; jobs; reduce; mem_budget; checkpoint_every }
 
 let report cfg obs (violation : _ Check.Trace.t option) =
   match violation with
@@ -366,94 +335,91 @@ let certificate_term =
            re-running the explorer — with $(b,gcmodel recheck) $(docv).  Refused (exit 1) \
            on truncated or violating runs.  See docs/CERTIFICATES.md.")
 
+(* The run shared by explore and resume.  [resume] continues a loaded
+   snapshot; [checkpoint] names the directory to keep snapshotting into. *)
+let run_exploration e ~resume ~spill_dir ~checkpoint ~certificate ~explain ~trace_out ~obs =
+  let { sc; safety_only; max_states; jobs; reduce; mem_budget; checkpoint_every } = e in
+  let cfg = sc.Core.Scenario.cfg in
+  let system = (Core.Scenario.model sc).Core.Model.system in
+  let reducer = Core.Reduction.reducer cfg reduce in
+  let invariants = Core.Scenario.invariants ~safety_only sc in
+  let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
+  (* at jobs = 1 the certificate table is dumped straight from the
+     seen-set (the one-worker pool is a FIFO BFS, so its depth stamps
+     are BFS distances) *)
+  let cert_dump = ref None in
+  let on_store =
+    if certificate <> None && jobs <= 1 then
+      Some (fun store -> cert_dump := Some (Certify.Writer.of_store store))
+    else None
+  in
+  let o =
+    Check.Explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
+      ?checkpoint:(Option.map (fun dir -> (dir, checkpoint_every)) checkpoint)
+      ?resume ?on_store ~run_config:(manifest_json e) ~invariants system
+  in
+  Fmt.pr "%a@." Check.Explore.pp_outcome o;
+  report cfg obs o.Check.Explore.violation;
+  explain_violation ~html:explain ~obs cfg o.Check.Explore.violation;
+  let certify dir =
+    let ( let* ) = Result.bind in
+    let* () =
+      if o.Check.Explore.truncated then Error "run truncated (state cap reached)"
+      else if o.Check.Explore.violation <> None then Error "run found a violation"
+      else Ok ()
+    in
+    let* entries, max_depth =
+      if jobs <= 1 then
+        Option.value !cert_dump ~default:(Error "internal error: seen-set dump not captured")
+      else begin
+        (* parallel schedules can drift at the symmetry reduction's
+           local-automorphism boundary: re-derive the canonical quotient
+           table at jobs=1 so the certificate is byte-identical to a
+           jobs=1 run's *)
+        Fmt.pr "certificate: re-deriving the table at jobs=1 (jobs=%d order is \
+                schedule-dependent)@."
+          jobs;
+        Certify.Writer.derive ~reducer ~invariants system
+      end
+    in
+    let* h =
+      Certify.Writer.write ~dir ~config_hash:(Core.Config.hash cfg)
+        ~reduce:(Reduce.Mode.to_string reduce) ~invariant_names:(List.map fst invariants)
+        ~scenario:(Core.Scenario.to_json sc) ~safety_only ~max_depth entries
+    in
+    Fmt.pr "certificate: %d states (max depth %d, config %s) written to %s@."
+      h.Certify.Certificate.states h.Certify.Certificate.max_depth
+      h.Certify.Certificate.config_hash dir;
+    Ok ()
+  in
+  let certified = Option.fold ~none:(Ok ()) ~some:certify certificate in
+  close_trace tracer trace_out;
+  Obs.Reporter.close obs;
+  match certified with
+  | Error msg ->
+    Fmt.epr "certificate refused: %s@." msg;
+    exit 1
+  | Ok () -> ()
+
 let explore_cmd =
-  let run raw shape safety_only max_states jobs reduce mem_budget spill_dir checkpoint
-      checkpoint_every certificate explain trace_out obs =
-    let cv = resolve_cfg raw in
-    let cfg, v = cv in
-    let model = model_of cv shape in
-    Fmt.pr "exploring variant=%s shape=%s muts=%d refs=%d cycles=%d ops=%d jobs=%d reduce=%a%a@."
-      v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs
-      cfg.Core.Config.max_cycles cfg.Core.Config.max_mut_ops jobs Reduce.Mode.pp reduce
+  let exploration sc safety_only max_states jobs reduce mem_budget checkpoint_every =
+    { sc; safety_only; max_states; jobs; reduce; mem_budget; checkpoint_every }
+  in
+  let run e spill_dir checkpoint certificate explain trace_out obs =
+    let cfg = e.sc.Core.Scenario.cfg in
+    Fmt.pr "exploring %a cycles=%d ops=%d jobs=%d reduce=%a%a@." pp_instance e.sc
+      cfg.Core.Config.max_cycles cfg.Core.Config.max_mut_ops e.jobs Reduce.Mode.pp e.reduce
       Fmt.(option (fmt " mem-budget=%d"))
-      mem_budget;
-    let reducer = Core.Reduction.reducer cfg reduce in
-    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
-    let run_config =
-      run_config_json raw ~shape ~safety_only ~max_states ~jobs ~reduce ~mem_budget
-        ~checkpoint_every
-    in
-    (* at jobs = 1 the certificate table is dumped straight from the
-       seen-set (the one-worker pool is a FIFO BFS, so its depth stamps
-       are BFS distances) *)
-    let cert_dump = ref None in
-    let on_store =
-      match certificate with
-      | Some _ when jobs <= 1 -> Some (fun store -> cert_dump := Some (Certify.Writer.of_store store))
-      | Some _ | None -> None
-    in
-    let invariants = invariants_of cfg safety_only in
-    let o =
-      Check.Explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget ?spill_dir
-        ?checkpoint:(Option.map (fun dir -> (dir, checkpoint_every)) checkpoint)
-        ?on_store ~run_config ~invariants model.Core.Model.system
-    in
-    Fmt.pr "%a@." Check.Explore.pp_outcome o;
-    report cfg obs o.Check.Explore.violation;
-    explain_violation ~html:explain ~obs cfg o.Check.Explore.violation;
-    let cert_failed =
-      match certificate with
-      | None -> None
-      | Some dir ->
-        let refuse msg = Some (Fmt.str "certificate refused: %s" msg) in
-        if o.Check.Explore.truncated then refuse "run truncated (state cap reached)"
-        else if o.Check.Explore.violation <> None then refuse "run found a violation"
-        else begin
-          let table =
-            if jobs <= 1 then
-              match !cert_dump with
-              | Some r -> r
-              | None -> Error "internal error: seen-set dump not captured"
-            else begin
-              (* parallel schedules can drift at the symmetry reduction's
-                 local-automorphism boundary: re-derive the canonical
-                 quotient table at jobs=1 so the certificate is
-                 byte-identical to a jobs=1 run's *)
-              Fmt.pr "certificate: re-deriving the table at jobs=1 (jobs=%d order is \
-                      schedule-dependent)@."
-                jobs;
-              Certify.Writer.derive ~reducer ~invariants model.Core.Model.system
-            end
-          in
-          match table with
-          | Error msg -> refuse msg
-          | Ok (entries, max_depth) -> (
-            match
-              Certify.Writer.write ~dir ~config_hash:(Core.Config.hash cfg)
-                ~reduce:(Reduce.Mode.to_string reduce) ~invariant_names:(List.map fst invariants)
-                ~run_config ~max_depth entries
-            with
-            | Error msg -> refuse msg
-            | Ok h ->
-              Fmt.pr "certificate: %d states (max depth %d, config %s) written to %s@."
-                h.Certify.Certificate.states h.Certify.Certificate.max_depth
-                h.Certify.Certificate.config_hash dir;
-              None)
-        end
-    in
-    close_trace tracer trace_out;
-    Obs.Reporter.close obs;
-    match cert_failed with
-    | Some msg ->
-      Fmt.epr "%s@." msg;
-      exit 1
-    | None -> ()
+      e.mem_budget;
+    run_exploration e ~resume:None ~spill_dir ~checkpoint ~certificate ~explain ~trace_out ~obs
   in
   Cmd.v (Cmd.info "explore" ~doc:"Exhaustive BFS with invariant checking.")
     Term.(
-      const run $ raw_cfg_term $ shape_term $ safety_only $ max_states $ jobs
-      $ reduce_term ~default:"all" $ mem_budget_term $ spill_dir_term $ checkpoint_term
-      $ checkpoint_every_term $ certificate_term $ explain_file $ trace_out_term $ obs_term)
+      const run
+      $ (const exploration $ scenario_term $ safety_only $ max_states $ jobs
+        $ reduce_term ~default:"all" $ mem_budget_term $ checkpoint_every_term)
+      $ spill_dir_term $ checkpoint_term $ certificate_term $ explain_file $ trace_out_term
+      $ obs_term)
 
 let resume_cmd =
   let dir =
@@ -474,49 +440,30 @@ let resume_cmd =
       Fmt.epr "gcmodel resume: %s@." msg;
       exit 1
     in
-    let config =
-      match Store.Checkpoint.manifest dir with
+    let e =
+      match Result.bind (Store.Checkpoint.manifest dir) (fun (_seq, m) -> exploration_of_manifest m) with
       | Error msg -> fail msg
-      | Ok (_seq, config) -> config
+      | Ok e -> { e with jobs = Option.value jobs_override ~default:e.jobs }
     in
-    let raw, shape, safety_only, max_states, cfg_jobs, reduce, mem_budget, checkpoint_every =
-      run_config_parse config
-    in
-    let jobs = Option.value jobs_override ~default:cfg_jobs in
-    let cv = resolve_cfg raw in
-    let cfg, v = cv in
-    let model = model_of cv shape in
     let snap =
-      match Store.Checkpoint.load ?mem_budget dir with
+      match Store.Checkpoint.load ?mem_budget:e.mem_budget dir with
       | Error msg -> fail msg
       | Ok snap -> snap
     in
-    Fmt.pr
-      "resuming variant=%s shape=%s muts=%d refs=%d jobs=%d reduce=%a: snapshot %d (%d states, \
-       frontier %d)@."
-      v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs jobs
-      Reduce.Mode.pp reduce snap.Store.Checkpoint.seq snap.Store.Checkpoint.states
+    Fmt.pr "resuming %a jobs=%d reduce=%a: snapshot %d (%d states, frontier %d)@." pp_instance
+      e.sc e.jobs Reduce.Mode.pp e.reduce snap.Store.Checkpoint.seq snap.Store.Checkpoint.states
       (Array.fold_left (fun acc l -> acc + List.length l) 0 snap.Store.Checkpoint.frontier);
-    let reducer = Core.Reduction.reducer cfg reduce in
-    let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
-    let o =
-      Check.Explore.run ~jobs ~max_states ~obs ~tracer ?reducer ?mem_budget
-        ~checkpoint:(dir, checkpoint_every) ~resume:snap ~run_config:config
-        ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
-    in
-    Fmt.pr "%a@." Check.Explore.pp_outcome o;
-    report cfg obs o.Check.Explore.violation;
-    explain_violation ~html:explain ~obs cfg o.Check.Explore.violation;
-    close_trace tracer trace_out;
-    Obs.Reporter.close obs
+    run_exploration e ~resume:(Some snap) ~spill_dir:None ~checkpoint:(Some dir)
+      ~certificate:None ~explain ~trace_out ~obs
   in
   Cmd.v
     (Cmd.info "resume"
        ~doc:
          "Continue an interrupted $(b,explore --checkpoint) run from its latest snapshot.  \
-          The model, flags and reduction mode are rebuilt from the checkpoint manifest; the \
-          resumed run reaches the same verdict, violated invariant and counterexample length \
-          as an uninterrupted one, and keeps checkpointing into the same directory.")
+          The scenario, invariant selection and run parameters are rebuilt from the \
+          checkpoint manifest; the resumed run reaches the same verdict, violated invariant \
+          and counterexample length as an uninterrupted one, and keeps checkpointing into the \
+          same directory.")
     Term.(const run $ dir $ jobs_override $ explain_file $ trace_out_term $ obs_term)
 
 let recheck_cmd =
@@ -534,26 +481,26 @@ let recheck_cmd =
     match Certify.Certificate.read_header dir with
     | Error msg -> fail msg
     | Ok h ->
-      (* rebuild the instance from the embedded run configuration, as
-         resume does from checkpoint manifests; the reduction mode comes
-         from the header field the certificate binds *)
-      let raw, shape, safety_only, _, _, _, _, _ = run_config_parse h.Certify.Certificate.run_config in
+      (* the instance comes from the scenario the header embeds; the
+         reduction mode from the header field the certificate binds *)
+      let sc =
+        match Core.Scenario.of_json h.Certify.Certificate.scenario with
+        | Ok sc -> sc
+        | Error e -> fail (Fmt.str "%s: header field \"config.scenario\": %s" Certify.Certificate.header_file e)
+      in
       let reduce =
         match Reduce.Mode.of_string h.Certify.Certificate.reduce with
         | Ok m -> m
         | Error e -> fail (Fmt.str "header field \"reduce\": %s" e)
       in
-      let cv = resolve_cfg raw in
-      let cfg, v = cv in
-      let model = model_of cv shape in
+      let cfg = sc.Core.Scenario.cfg in
       let reducer = Core.Reduction.reducer cfg reduce in
-      let invariants = invariants_of cfg safety_only in
-      Fmt.pr "rechecking %s: variant=%s shape=%s muts=%d refs=%d reduce=%a (%d states claimed)@."
-        dir v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs
+      let invariants = Core.Scenario.invariants ~safety_only:h.Certify.Certificate.safety_only sc in
+      Fmt.pr "rechecking %s: %a reduce=%a (%d states claimed)@." dir pp_instance sc
         Reduce.Mode.pp reduce h.Certify.Certificate.states;
       (match
          Certify.Recheck.validate ~reducer ~invariants ~config_hash:(Core.Config.hash cfg)
-           ~dir model.Core.Model.system
+           ~dir (Core.Scenario.model sc).Core.Model.system
        with
       | Error msg -> fail msg
       | Ok (_, st) ->
@@ -583,11 +530,11 @@ let recheck_cmd =
     (Cmd.info "recheck"
        ~doc:
          "Validate a certificate written by $(b,explore --certificate) without running the \
-          explorer: stream the table, re-evaluate the full invariant catalogue on every \
-          state, re-derive every depth stamp, and discharge transition closure by \
-          regenerating each state's successors and probing table membership.  Any miss, \
-          tamper or configuration mismatch fails closed (exit 1) naming the offending \
-          fingerprint or header field.")
+          explorer: rebuild the instance from the scenario the header embeds, stream the \
+          table, re-evaluate the invariant selection on every state, re-derive every depth \
+          stamp, and discharge transition closure by regenerating each state's successors \
+          and probing table membership.  Any miss, tamper or configuration mismatch fails \
+          closed (exit 1) naming the offending fingerprint or header field.")
     Term.(const run $ dir $ obs_term)
 
 let certdiff_cmd =
@@ -617,16 +564,16 @@ let certdiff_cmd =
 let walk_cmd =
   let steps = Arg.(value & opt int 100_000 & info [ "steps" ] ~doc:"Scheduled steps.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let run cv shape safety_only steps seed jobs reduce explain trace_out obs =
-    let cfg, v = cv in
-    let model = model_of cv shape in
+  let run sc safety_only steps seed jobs reduce explain trace_out obs =
+    let cfg = sc.Core.Scenario.cfg in
+    let model = Core.Scenario.model sc in
     Fmt.pr "random walk variant=%s shape=%s steps=%d seed=%d jobs=%d reduce=%a@."
-      v.Core.Variants.name shape steps seed jobs Reduce.Mode.pp reduce;
+      sc.Core.Scenario.label (shape_name sc) steps seed jobs Reduce.Mode.pp reduce;
     let reducer = Core.Reduction.reducer cfg reduce in
     let tracer = Obs.Tracing.resolve ?out:trace_out ~domains:(max 1 jobs) () in
     let o =
       Check.Random_walk.swarm ~jobs ~seed ~steps ~obs ~tracer ?reducer
-        ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
+        ~invariants:(Core.Scenario.invariants ~safety_only sc) model.Core.Model.system
     in
     Fmt.pr "%a@." Check.Random_walk.pp_outcome o;
     report cfg obs o.Check.Random_walk.violation;
@@ -636,25 +583,32 @@ let walk_cmd =
   in
   Cmd.v (Cmd.info "walk" ~doc:"Randomized deep run with invariant checking.")
     Term.(
-      const run $ cfg_term $ shape_term $ safety_only $ steps $ seed $ jobs
+      const run $ scenario_term $ safety_only $ steps $ seed $ jobs
       $ reduce_term ~default:"none" $ explain_file $ trace_out_term $ obs_term)
 
 let crosscheck_cmd =
-  let run cv shape safety_only max_states jobs reduce mem_budget explain obs =
-    let cfg, v = cv in
-    let model = model_of cv shape in
+  let run sc safety_only max_states jobs reduce mem_budget explain obs =
+    let cfg = sc.Core.Scenario.cfg in
+    let system = (Core.Scenario.model sc).Core.Model.system in
+    let invariants = Core.Scenario.invariants ~safety_only sc in
     (match reduce with
     | Reduce.Mode.None_ -> Fmt.failwith "crosscheck needs --reduce=sym|por|all, not none"
     | _ -> ());
-    Fmt.pr "cross-checking variant=%s shape=%s muts=%d refs=%d cycles=%d ops=%d reduce=%a@."
-      v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs
+    Fmt.pr "cross-checking %a cycles=%d ops=%d reduce=%a@." pp_instance sc
       cfg.Core.Config.max_cycles cfg.Core.Config.max_mut_ops Reduce.Mode.pp reduce;
     let reducer = Option.get (Core.Reduction.reducer cfg reduce) in
-    let r =
-      Reduce.Crosscheck.run ~max_states ~obs ~reducer
-        ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
-    in
+    let r = Reduce.Crosscheck.run ~max_states ~obs ~reducer ~invariants system in
     Fmt.pr "%a@." Reduce.Crosscheck.pp r;
+    (* what two runs must agree on; state counts are comparable only
+       between runs at one worker count *)
+    let signature ~states (o : _ Check.Explore.outcome) =
+      match o.Check.Explore.violation with
+      | None when states -> Fmt.str "clean, %d states" o.Check.Explore.states
+      | None -> "clean"
+      | Some tr ->
+        Fmt.str "violates %s, counterexample length %d" tr.Check.Trace.broken
+          (Check.Trace.length tr)
+    in
     (* --jobs N extends the agreement obligation to N workers: verdict,
        violated invariant and counterexample length must match the
        jobs=1 full run at N domains, both unreduced and under the
@@ -662,20 +616,11 @@ let crosscheck_cmd =
     let jobs_errors =
       if jobs <= 1 then []
       else begin
-        let invariants = invariants_of cfg safety_only in
-        let verdict (o : _ Check.Explore.outcome) =
-          match o.Check.Explore.violation with
-          | None -> "clean"
-          | Some tr ->
-            Fmt.str "violates %s, counterexample length %d" tr.Check.Trace.broken
-              (Check.Trace.length tr)
-        in
-        let base = verdict (Check.Explore.run ~max_states ~invariants model.Core.Model.system) in
+        let base = signature ~states:false (Check.Explore.run ~max_states ~invariants system) in
         let par_run ?reducer label =
-          let o =
-            Check.Explore.run ~jobs ~max_states ?reducer ~invariants model.Core.Model.system
+          let pv =
+            signature ~states:false (Check.Explore.run ~jobs ~max_states ?reducer ~invariants system)
           in
-          let pv = verdict o in
           if pv = base then begin
             Fmt.pr "jobs equivalence OK (jobs=%d, %s)@." jobs label;
             []
@@ -693,26 +638,14 @@ let crosscheck_cmd =
       match mem_budget with
       | None -> []
       | Some budget ->
-        let invariants = invariants_of cfg safety_only in
-        let signature (o : _ Check.Explore.outcome) =
-          match o.Check.Explore.violation with
-          | None -> Fmt.str "clean, %d states" o.Check.Explore.states
-          | Some tr ->
-            Fmt.str "violates %s, counterexample length %d" tr.Check.Trace.broken
-              (Check.Trace.length tr)
-        in
-        let base =
-          Check.Explore.run ~jobs:1 ~max_states ~invariants model.Core.Model.system
-        in
-        let base_sig = signature base in
+        let signature = signature ~states:true in
+        let base_sig = signature (Check.Explore.run ~jobs:1 ~max_states ~invariants system) in
         let spill_legs =
           List.concat_map
             (fun j ->
-              let o =
-                Check.Explore.run ~jobs:j ~max_states ~mem_budget:budget ~invariants
-                  model.Core.Model.system
+              let s =
+                signature (Check.Explore.run ~jobs:j ~max_states ~mem_budget:budget ~invariants system)
               in
-              let s = signature o in
               if s = base_sig then begin
                 Fmt.pr "spill equivalence OK (jobs=%d, budget=%d): %s@." j budget s;
                 []
@@ -730,7 +663,7 @@ let crosscheck_cmd =
           in
           let o =
             Check.Explore.run ~jobs:1 ~max_states ~mem_budget:budget
-              ~checkpoint:(dir, 500) ~invariants model.Core.Model.system
+              ~checkpoint:(dir, 500) ~invariants system
           in
           let errs =
             match Store.Checkpoint.load ~mem_budget:budget dir with
@@ -738,7 +671,7 @@ let crosscheck_cmd =
             | Ok snap ->
               let r =
                 Check.Explore.run ~jobs:1 ~max_states ~mem_budget:budget ~resume:snap
-                  ~invariants model.Core.Model.system
+                  ~invariants system
               in
               let so = signature o and sr = signature r in
               if so = base_sig && sr = base_sig then begin
@@ -771,10 +704,7 @@ let crosscheck_cmd =
     (match explain with
     | None -> ()
     | Some _ ->
-      let o =
-        Check.Explore.run ~max_states ~reducer
-          ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
-      in
+      let o = Check.Explore.run ~max_states ~reducer ~invariants system in
       explain_violation ~html:explain ~obs cfg o.Check.Explore.violation);
     Obs.Reporter.close obs;
     match Reduce.Crosscheck.errors r @ jobs_errors @ store_errors with
@@ -794,7 +724,7 @@ let crosscheck_cmd =
           at 1 and 4 domains) and a checkpoint/resume round-trip report the all-RAM verdict \
           and state count. Exits 1 on mismatch.")
     Term.(
-      const run $ cfg_term $ shape_term $ safety_only $ max_states $ jobs
+      const run $ scenario_term $ safety_only $ max_states $ jobs
       $ reduce_term ~default:"all" $ mem_budget_term $ explain_file $ obs_term)
 
 let explain_cmd =
@@ -817,9 +747,9 @@ let explain_cmd =
       & info [ "html" ] ~docv:"FILE"
           ~doc:"Also write a self-contained HTML report to $(docv).")
   in
-  let run cv shape safety_only max_states reduce trace_file html_file last obs =
-    let cfg, v = cv in
-    let model = model_of cv shape in
+  let run sc safety_only max_states reduce trace_file html_file last obs =
+    let cfg = sc.Core.Scenario.cfg in
+    let model = Core.Scenario.model sc in
     let trace =
       match trace_file with
       | Some path ->
@@ -840,12 +770,11 @@ let explain_cmd =
         | Ok tr -> tr
         | Error msg -> fail (Fmt.str "%s: %s" path msg))
       | None ->
-        Fmt.pr "explaining variant=%s shape=%s muts=%d refs=%d (searching for a violation)@."
-          v.Core.Variants.name shape cfg.Core.Config.n_muts cfg.Core.Config.n_refs;
+        Fmt.pr "explaining %a (searching for a violation)@." pp_instance sc;
         let reducer = Core.Reduction.reducer cfg reduce in
         let o =
           Check.Explore.run ~jobs:1 ~max_states ~obs ?reducer
-            ~invariants:(invariants_of cfg safety_only) model.Core.Model.system
+            ~invariants:(Core.Scenario.invariants ~safety_only sc) model.Core.Model.system
         in
         (match o.Check.Explore.violation with
         | Some tr -> tr
@@ -865,7 +794,7 @@ let explain_cmd =
           the violated conjunct and witness, a per-process lane timeline, and the per-step \
           state-diff narrative.")
     Term.(
-      const run $ cfg_term $ shape_term $ safety_only $ max_states
+      const run $ scenario_term $ safety_only $ max_states
       $ reduce_term ~default:"all" $ trace_file $ html_file $ explain_last $ obs_term)
 
 let variants_cmd =
@@ -894,12 +823,12 @@ let shapes_cmd =
   Cmd.v (Cmd.info "shapes" ~doc:"List initial heap shapes.") Term.(const run $ const ())
 
 let dump_cmd =
-  let run cv shape =
-    let cfg, _ = cv in
-    let model = model_of cv shape in
+  let run sc =
+    let cfg = sc.Core.Scenario.cfg in
+    let model = Core.Scenario.model sc in
     Fmt.pr "%a@." (Core.Dump.pp_state cfg) model.Core.Model.system
   in
-  Cmd.v (Cmd.info "dump" ~doc:"Print the initial state.") Term.(const run $ cfg_term $ shape_term)
+  Cmd.v (Cmd.info "dump" ~doc:"Print the initial state.") Term.(const run $ scenario_term)
 
 let program_cmd =
   (* Print a process's CIMP control skeleton — the model-side counterpart
@@ -907,8 +836,7 @@ let program_cmd =
   let which =
     Arg.(value & pos 0 string "gc" & info [] ~docv:"PROC" ~doc:"gc, mut, or sys.")
   in
-  let run cv which =
-    let cfg, _ = cv in
+  let run (_, cfg) which =
     let programs = Core.Model.programs cfg in
     let com =
       match which with
@@ -921,7 +849,7 @@ let program_cmd =
   in
   Cmd.v
     (Cmd.info "program" ~doc:"Pretty-print a process's CIMP program (cf. the paper's Figs. 2, 5, 6).")
-    Term.(const run $ cfg_term $ which)
+    Term.(const run $ config_term $ which)
 
 (* -- mutation-testing campaign (lib/mutate) ---------------------------------- *)
 

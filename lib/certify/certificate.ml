@@ -5,7 +5,8 @@
    A certificate is a directory of two files:
 
      CERT.json   the header: format tag, configuration binding
-                 (config_hash + the verbatim run configuration), reduction
+                 (config_hash + the instance: scenario and invariant
+                 selection, no run parameters), reduction
                  mode, the invariant catalogue in evaluation order, the
                  closure obligations the validator must discharge, the
                  root fingerprint, entry counts, and an MD5 digest of the
@@ -22,7 +23,7 @@
    consistently tampered certificate still fails closure, depth or
    verdict revalidation.  DESIGN.md records the argument. *)
 
-let format_tag = "GCCERT001"
+let format_tag = "GCCERT002"
 let header_file = "CERT.json"
 let table_file = "table.seg"
 let header_path dir = Filename.concat dir header_file
@@ -41,7 +42,6 @@ let required_obligations =
   [ obligation_root; obligation_closure; obligation_depths; obligation_verdicts ]
 
 type header = {
-  format : string;  (* must be [format_tag] *)
   config_hash : string;  (* Config.hash of the certified instance *)
   reduce : string;  (* reduction mode: "none" | "sym" | "por" | "all" *)
   invariants : string list;  (* catalogue in evaluation order *)
@@ -50,14 +50,15 @@ type header = {
   states : int;  (* table entry count *)
   max_depth : int;  (* largest depth stamp in the table *)
   table_digest : string;  (* MD5 (hex) of table.seg *)
-  run_config : Obs.Json.t;  (* verbatim flags, to rebuild the instance *)
+  scenario : Obs.Json.t;  (* Core.Scenario.to_json of the instance *)
+  safety_only : bool;  (* invariant selection: safety subset or full catalogue *)
 }
 
 let header_to_json h =
   let open Obs.Json in
   Obj
     [
-      ("format", String h.format);
+      ("format", String format_tag);
       ("config_hash", String h.config_hash);
       ("reduce", String h.reduce);
       ("invariants", List (List.map (fun s -> String s) h.invariants));
@@ -66,28 +67,33 @@ let header_to_json h =
       ("states", Int h.states);
       ("max_depth", Int h.max_depth);
       ("table_digest", String h.table_digest);
-      ("config", h.run_config);
+      ("config", Obj [ ("scenario", h.scenario); ("safety_only", Bool h.safety_only) ]);
     ]
 
 let header_of_json json =
   let open Obs.Json in
-  let str name =
-    match Option.bind (member name json) to_string_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "header field %S missing or not a string" name)
+  let config = Option.value (member "config" json) ~default:Null in
+  (* [path] is [within]'s own place in the header, for the diagnostic *)
+  let field within path name conv what =
+    Option.to_result
+      ~none:(Printf.sprintf "header field %S missing or not %s" (path ^ name) what)
+      (Option.bind (member name within) conv)
   in
-  let int name =
-    match Option.bind (member name json) to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "header field %S missing or not an integer" name)
-  in
+  let str name = field json "" name to_string_opt "a string" in
+  let int name = field json "" name to_int "an integer" in
   let str_list name =
-    match Option.bind (member name json) to_list with
-    | Some l -> Ok (List.filter_map to_string_opt l)
-    | None -> Error (Printf.sprintf "header field %S missing or not a list" name)
+    field json "" name (fun l -> Option.map (List.filter_map to_string_opt) (to_list l)) "a list"
   in
   let ( let* ) = Result.bind in
-  let* format = str "format" in
+  (* the tag first: any other format's remaining fields mean nothing here *)
+  let* () =
+    Result.bind (str "format") (fun format ->
+        if format = format_tag then Ok ()
+        else
+          Error
+            (Printf.sprintf "header field \"format\" is %S, expected %S (another format)"
+               format format_tag))
+  in
   let* config_hash = str "config_hash" in
   let* reduce = str "reduce" in
   let* invariants = str_list "invariants" in
@@ -96,10 +102,12 @@ let header_of_json json =
   let* states = int "states" in
   let* max_depth = int "max_depth" in
   let* table_digest = str "table_digest" in
-  let run_config = Option.value (member "config" json) ~default:Null in
+  let* scenario =
+    field config "config." "scenario" (function Obj _ as s -> Some s | _ -> None) "an object"
+  in
+  let* safety_only = field config "config." "safety_only" to_bool "a boolean" in
   Ok
     {
-      format;
       config_hash;
       reduce;
       invariants;
@@ -108,7 +116,8 @@ let header_of_json json =
       states;
       max_depth;
       table_digest;
-      run_config;
+      scenario;
+      safety_only;
     }
 
 let write_header ~dir h =
@@ -130,15 +139,7 @@ let read_header dir =
     close_in ic;
     match Obs.Json.of_string s with
     | Error e -> Error (Printf.sprintf "%s: unparsable header: %s" header_file e)
-    | Ok json -> (
-      match header_of_json json with
-      | Error e -> Error (Printf.sprintf "%s: %s" header_file e)
-      | Ok h ->
-        if h.format <> format_tag then
-          Error
-            (Printf.sprintf "%s: header field \"format\" is %S, expected %S" header_file
-               h.format format_tag)
-        else Ok h)
+    | Ok json -> Result.map_error (Printf.sprintf "%s: %s" header_file) (header_of_json json)
 
 let digest_table dir = Digest.to_hex (Digest.file (table_path dir))
 

@@ -9,8 +9,8 @@
     claim semantically). *)
 
 val format_tag : string
-(** ["GCCERT001"] — bound into every header; {!read_header} refuses any
-    other value. *)
+(** ["GCCERT002"] — bound into every header; {!header_of_json} refuses
+    any other value before reading further fields. *)
 
 val header_file : string
 (** ["CERT.json"]. *)
@@ -33,8 +33,8 @@ val required_obligations : string list
     full invariant catalogue on each entry reproduces its verdict).
     {!Recheck.validate} rejects a header omitting any of them. *)
 
+(** The header's fields; [CERT.json] also carries {!format_tag}. *)
 type header = {
-  format : string;  (** must equal {!format_tag} *)
   config_hash : string;  (** [Config.hash] of the certified instance *)
   reduce : string;  (** reduction mode: "none", "sym", "por" or "all" *)
   invariants : string list;  (** invariant catalogue in evaluation order *)
@@ -43,22 +43,26 @@ type header = {
   states : int;  (** table entry count *)
   max_depth : int;  (** largest depth stamp in the table *)
   table_digest : string;  (** MD5 (hex) of [table.seg] *)
-  run_config : Obs.Json.t;
-      (** the producing run's flags, verbatim — enough to rebuild the
-          instance, as [gcmodel resume] does from checkpoint manifests *)
+  scenario : Obs.Json.t;
+      (** the instance as [Core.Scenario.to_json] writes it — enough to
+          rebuild the model; no run parameters ([jobs], caps, budgets) *)
+  safety_only : bool;
+      (** the invariant selection: the safety subset ([true]) or the full
+          catalogue *)
 }
 
 val header_to_json : header -> Obs.Json.t
 (** The header as the JSON object [CERT.json] holds. *)
 
 val header_of_json : Obs.Json.t -> (header, string) result
-(** Total: [Error] names the first missing or ill-typed field. *)
+(** Total: [Error] names a wrong format tag first, else the first
+    missing or ill-typed field. *)
 
 val write_header : dir:string -> header -> unit
 (** Atomic (write-then-rename) emission of [CERT.json] into [dir]. *)
 
 val read_header : string -> (header, string) result
-(** Read and parse [dir]'s header; rejects a wrong {!format_tag}. *)
+(** Read and parse [dir]'s header ({!header_of_json}). *)
 
 val digest_table : string -> string
 (** MD5 (hex) of [dir]'s table file bytes. *)

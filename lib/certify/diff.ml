@@ -25,6 +25,8 @@ let header_deltas (a : Certificate.header) (b : Certificate.header) =
     (fun (field, va, vb) -> if va = vb then None else Some (field, va, vb))
     [
       ("config_hash", a.Certificate.config_hash, b.Certificate.config_hash);
+      ("config.scenario", Obs.Json.to_string a.scenario, Obs.Json.to_string b.scenario);
+      ("config.safety_only", string_of_bool a.safety_only, string_of_bool b.safety_only);
       ("reduce", a.reduce, b.reduce);
       ("invariants", strs a.invariants, strs b.invariants);
       ("obligations", strs a.obligations, strs b.obligations);

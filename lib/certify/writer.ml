@@ -72,7 +72,7 @@ let derive ~reducer ~invariants initial =
        ~invariants initial);
   !table
 
-let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entries =
+let write ~dir ~config_hash ~reduce ~invariant_names ~scenario ~safety_only ~max_depth entries =
   let n = Array.length entries in
   if n = 0 then Error "empty table: nothing to certify"
   else begin
@@ -89,8 +89,7 @@ let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entr
            entries);
       let h =
         {
-          Certificate.format = Certificate.format_tag;
-          config_hash;
+          Certificate.config_hash;
           reduce;
           invariants = invariant_names;
           obligations = Certificate.required_obligations;
@@ -98,7 +97,8 @@ let write ~dir ~config_hash ~reduce ~invariant_names ~run_config ~max_depth entr
           states = n;
           max_depth;
           table_digest = Certificate.digest_table dir;
-          run_config;
+          scenario;
+          safety_only;
         }
       in
       Certificate.write_header ~dir h;

@@ -26,11 +26,14 @@ val write :
   config_hash:string ->
   reduce:string ->
   invariant_names:string list ->
-  run_config:Obs.Json.t ->
+  scenario:Obs.Json.t ->
+  safety_only:bool ->
   max_depth:int ->
   Store.Segment.entry array ->
   (Certificate.header, string) result
 (** Emit [table.seg] then [CERT.json] into [dir] (created if missing).
+    [scenario] and [safety_only] are the instance the header binds
+    ({!Certificate.header}).
     The header is written last, so a crash mid-write never leaves a
     parsable certificate.  [Error] on an empty table or a table without
     a unique depth-0 root entry. *)

@@ -114,27 +114,26 @@ let coverage_gaps sys ~covered =
   done;
   sort_coverage !gaps
 
-(* Forward replay of a recorded transition chain, shared by
-   counterexample reconstruction and checkpoint resume.  An event alone
-   does not determine the successor (a Local_op may offer several
-   successors under one label), so each step also matches the recorded
-   key — the engine's compact fingerprint hash — of the state it must
-   land in. *)
+(* Forward replay of recorded transitions, shared by counterexample
+   reconstruction and checkpoint resume.  An event alone does not
+   determine the successor (a Local_op may offer several successors under
+   one label), so each step also matches the recorded key — the engine's
+   compact fingerprint hash — of the state it must land in. *)
+let replay_step ~norm ~matches sys (key, ev) =
+  List.find_map
+    (fun (e, s') ->
+      if e = ev then
+        let s' = norm s' in
+        if matches s' key then Some s' else None
+      else None)
+    (Cimp.System.steps sys)
+
 let replay_chain ~norm ~matches initial chain =
   let rec replay sys chain acc =
     match chain with
     | [] -> List.rev acc
     | (key, ev) :: rest -> (
-      let next =
-        List.find_map
-          (fun (e, s') ->
-            if e = ev then
-              let s' = norm s' in
-              if matches s' key then Some s' else None
-            else None)
-          (Cimp.System.steps sys)
-      in
-      match next with
+      match replay_step ~norm ~matches sys (key, ev) with
       | Some s' -> replay s' rest ({ Trace.event = ev; state = s' } :: acc)
       | None -> List.rev acc (* unreachable: the chain records real transitions *))
   in
@@ -415,6 +414,9 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
     ignore (Atomic.fetch_and_add pending (List.length tasks));
     Deque.push_list deques.(w) tasks
   in
+  (* replay lands on canonical representatives, keyed by fingerprint *)
+  let replay_norm s = canon (norm s) in
+  let replay_matches s' fp' = Fingerprint.hash (fp_of s') = fp' in
   let reconstruct fp broken =
     (* chain of (fingerprint, event) from the root to [fp], replayed
        forward by [replay_chain] (same-label successors disambiguated by
@@ -425,13 +427,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         back parent ((fp, Store.Event_codec.decode codec ev) :: acc)
       | _ -> acc
     in
-    let chain = back fp [] in
-    let steps =
-      replay_chain
-        ~norm:(fun s -> canon (norm s))
-        ~matches:(fun s' fp' -> Fingerprint.hash (fp_of s') = fp')
-        initial chain
-    in
+    let steps = replay_chain ~norm:replay_norm ~matches:replay_matches initial (back fp []) in
     { Trace.initial; steps; broken }
   in
   (* -- checkpoint rendezvous ---------------------------------------------
@@ -774,17 +770,9 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
       | None -> (
         match Store.Tiered.find seen fp with
         | Some (parent, code) when parent <> 0 -> (
-          let psys = state_of parent in
           let ev = Store.Event_codec.decode codec code in
           match
-            List.find_map
-              (fun (e, s') ->
-                if e = ev then begin
-                  let s' = canon (norm s') in
-                  if Fingerprint.hash (fp_of s') = fp then Some s' else None
-                end
-                else None)
-              (Cimp.System.steps psys)
+            replay_step ~norm:replay_norm ~matches:replay_matches (state_of parent) (fp, ev)
           with
           | Some s ->
             Hashtbl.add cache fp s;
@@ -820,7 +808,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
     if violation = None then Store.Tiered.max_depth seen else Atomic.get best_depth
   in
   let first_violation = Option.map (fun tr -> tr.Trace.broken) violation in
-  Array.iter (fun iv -> iv.Inv_stats.report obs ~first_violation) ivs;
+  Inv_stats.report obs ~first_violation (Array.to_list ivs);
   let states = Atomic.get states in
   let transitions = Atomic.get transitions in
   Reducer.report obs ~checker:"explore" reducer ~states ~transitions ~elapsed;
@@ -836,13 +824,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         (fun (a, b, c, d, e) (a', b', c', d', e') -> (a + a', b + b', c + c', d + d', e + e'))
         (0, 0, 0, 0, 1) phases
     in
-    let inv_evals, inv_s =
-      Array.fold_left
-        (fun (n, t) iv ->
-          let n', t' = iv.Inv_stats.totals () in
-          (n + n', t +. t'))
-        (0, 0.) ivs
-    in
+    let inv_evals, inv_s = Inv_stats.totals (Array.to_list ivs) in
     let s ns = float_of_int ns *. 1e-9 in
     let gc1 = Gc.quick_stat () in
     let other = Float.max 0. (elapsed -. s succ_ns -. s norm_ns -. s fp_ns -. inv_s) in

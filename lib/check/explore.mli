@@ -21,8 +21,8 @@
     (depth, parent, event) triple and re-enqueues it, so stamps relax to
     true BFS distances by quiescence, and violations race through an
     atomic best-(depth, fingerprint) cell with min-tie-break.  The
-    minimal trace is then recovered by bounded parent-chain replay
-    ({!replay_chain}).  DESIGN.md §11 gives the minimality argument.
+    minimal trace is then recovered by bounded parent-chain replay, the
+    same step-by-step replay that rebuilds frontier states at resume.  DESIGN.md §11 gives the minimality argument.
 
     The seen-set is the tiered store of {!Store.Tiered}: 64
     independently-locked RAM shards of 32 bytes per state that, under a
@@ -60,22 +60,6 @@ val sort_coverage : (int * Cimp.Label.t) list -> (int * Cimp.Label.t) list
     programs) and an outcome's [covered] list. *)
 val coverage_gaps :
   ('a, 'v, 's) Cimp.System.t -> covered:(int * Cimp.Label.t) list -> (int * Cimp.Label.t) list
-
-(** [replay_chain ~norm ~matches initial chain] re-executes a recorded
-    transition chain — (key, event) pairs from the root — forward from
-    [initial], returning the trace steps.  An event alone does not
-    determine the successor (a [Local_op] may offer several successors
-    under one label), so each step also requires [matches state key] on
-    the state it lands in ([run] records {!Fingerprint.hash} keys).
-    Shared by counterexample reconstruction and by checkpoint resume
-    (which rebuilds frontier states from parent chains, because CIMP
-    systems embed closures and cannot be marshalled). *)
-val replay_chain :
-  norm:(('a, 'v, 's) Cimp.System.t -> ('a, 'v, 's) Cimp.System.t) ->
-  matches:(('a, 'v, 's) Cimp.System.t -> 'k -> bool) ->
-  ('a, 'v, 's) Cimp.System.t ->
-  ('k * Cimp.System.event) list ->
-  ('a, 'v, 's) Trace.step list
 
 (** Scheduler observation hooks, injectable from tests to make
     termination-detection interleavings deterministic (e.g. hold a worker

@@ -2,8 +2,7 @@
 
 type 'sys t = {
   check : 'sys -> string option;
-  report : Obs.Reporter.t -> first_violation:string option -> unit;
-  totals : unit -> int * float;
+  counts : unit -> (string * int * float) array;
 }
 
 let plain invariants =
@@ -13,8 +12,7 @@ let plain invariants =
         match List.find_opt (fun (_, p) -> not (p sys)) invariants with
         | None -> None
         | Some (name, _) -> Some name);
-    report = (fun _ ~first_violation:_ -> ());
-    totals = (fun () -> (0, 0.));
+    counts = (fun () -> [||]);
   }
 
 let instrumented invariants =
@@ -36,22 +34,32 @@ let instrumented invariants =
     in
     go 0
   in
-  let report obs ~first_violation =
-    Array.iteri
-      (fun i (name, _) ->
-        Obs.Reporter.emit obs "invariant"
-          [
-            ("name", Obs.Json.String name);
-            ("evals", Obs.Json.Int evals.(i));
-            ("time_s", Obs.Json.Float time.(i));
-            ("violated", Obs.Json.Bool (first_violation = Some name));
-          ])
-      invs
-  in
-  let totals () =
-    (Array.fold_left ( + ) 0 evals, Array.fold_left ( +. ) 0. time)
-  in
-  { check; report; totals }
+  { check; counts = (fun () -> Array.mapi (fun i (name, _) -> (name, evals.(i), time.(i))) invs) }
 
 let make ~obs invariants =
   if Obs.Reporter.enabled obs then instrumented invariants else plain invariants
+
+(* Per-invariant sums over the given accountants, which all share one
+   catalogue (one per worker domain). *)
+let summed ivs =
+  match List.map (fun iv -> iv.counts ()) ivs with
+  | [] -> [||]
+  | c :: rest ->
+    List.fold_left
+      (Array.map2 (fun (name, n, t) (_, n', t') -> (name, n + n', t +. t')))
+      c rest
+
+let report obs ~first_violation ivs =
+  Array.iter
+    (fun (name, evals, time) ->
+      Obs.Reporter.emit obs "invariant"
+        [
+          ("name", Obs.Json.String name);
+          ("evals", Obs.Json.Int evals);
+          ("time_s", Obs.Json.Float time);
+          ("violated", Obs.Json.Bool (first_violation = Some name));
+        ])
+    (summed ivs)
+
+let totals ivs =
+  Array.fold_left (fun (n, t) (_, n', t') -> (n + n', t +. t')) (0, 0.) (summed ivs)

@@ -12,12 +12,10 @@
 type 'sys t = {
   check : 'sys -> string option;
       (** name of the first failing invariant, in catalogue order *)
-  report : Obs.Reporter.t -> first_violation:string option -> unit;
-      (** emit one [invariant] record per invariant (no-op for [plain]) *)
-  totals : unit -> int * float;
-      (** total (evaluations, cumulative seconds) across all invariants so
-          far — the invariant-eval share of the checkers' [profile]
-          record.  [(0, 0.)] for [plain], which keeps no books. *)
+  counts : unit -> (string * int * float) array;
+      (** per invariant, in catalogue order: (name, evaluations,
+          cumulative seconds) so far.  Empty for [plain], which keeps no
+          books. *)
 }
 
 val make : obs:Obs.Reporter.t -> (string * ('sys -> bool)) list -> 'sys t
@@ -25,8 +23,18 @@ val make : obs:Obs.Reporter.t -> (string * ('sys -> bool)) list -> 'sys t
 
 val plain : (string * ('sys -> bool)) list -> 'sys t
 (** The zero-bookkeeping fast path: [check] is a bare first-failure
-    scan, [report]/[totals] are no-ops. *)
+    scan, [counts] is empty. *)
 
 val instrumented : (string * ('sys -> bool)) list -> 'sys t
 (** The accounting variant: per-invariant eval counts and cumulative
     timings, at the cost of two clock reads per evaluation. *)
+
+val report : Obs.Reporter.t -> first_violation:string option -> 'sys t list -> unit
+(** Emit one [invariant] record per invariant, its counts summed over
+    the given accountants (one per worker domain, all over the same
+    catalogue).  Nothing when they are all [plain]. *)
+
+val totals : 'sys t list -> int * float
+(** Total (evaluations, cumulative seconds) across all invariants and
+    accountants — the invariant-eval share of the checkers' [profile]
+    record.  [(0, 0.)] for [plain]. *)

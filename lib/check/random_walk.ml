@@ -146,11 +146,11 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
           ("dead_end_restarts", Obs.Json.Int !restarts);
         ];
   let first_violation = Option.map (fun tr -> tr.Trace.broken) !violation in
-  iv.Inv_stats.report obs ~first_violation;
+  Inv_stats.report obs ~first_violation [ iv ];
   (* the walk has no seen-set, so "states" is the steps taken *)
   Reducer.report obs ~checker:"walk" reducer ~states:!taken ~transitions:!taken ~elapsed;
   if profiling then begin
-    let inv_evals, inv_s = iv.Inv_stats.totals () in
+    let inv_evals, inv_s = Inv_stats.totals [ iv ] in
     let gc1 = Gc.quick_stat () in
     let other = Float.max 0. (elapsed -. !succ_s -. !norm_s -. inv_s) in
     Obs.Reporter.emit obs "profile"

@@ -145,6 +145,90 @@ let describe cfg =
       ("mutation=" ^ match mutation with None -> "-" | Some m -> mutation_name m);
     ]
 
+let mutation_of_name name =
+  let arg prefix = String.sub name (String.length prefix) (String.length name - String.length prefix) in
+  let has prefix = String.starts_with ~prefix name in
+  if name = "alloc-color-off" then Some Alloc_color_off
+  else if has "drop-fence:" then Some (Drop_fence (arg "drop-fence:"))
+  else if has "weaken-cas:" then Some (Weaken_cas (arg "weaken-cas:"))
+  else if has "elide-barrier:" then Some (Elide_barrier (arg "elide-barrier:"))
+  else if has "skip-hs-wait:" then Some (Skip_hs_wait (arg "skip-hs-wait:"))
+  else if has "swap-mark-loads:" then Some (Swap_mark_loads (arg "swap-mark-loads:"))
+  else None
+
+(* The exact inverse of [describe].  The record is built as a literal —
+   no [{ default with ... }] — so a new field is a compile error here
+   too, and a string naming fewer fields than [describe] writes is
+   rejected rather than completed from defaults.  Keys are consumed as
+   they are read; any left over are unknown. *)
+let of_describe s =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let fields = Hashtbl.create 32 in
+  let get key =
+    match Hashtbl.find_opt fields key with
+    | Some v ->
+      Hashtbl.remove fields key;
+      v
+    | None -> bad "config key %S missing" key
+  in
+  let int key =
+    let v = get key in
+    match int_of_string_opt v with Some n -> n | None -> bad "config key %S: bad integer %S" key v
+  in
+  let bool key =
+    match get key with
+    | "1" -> true
+    | "0" -> false
+    | v -> bad "config key %S: bad boolean %S (expected 0 or 1)" key v
+  in
+  match
+    List.iter
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | None -> bad "config field %S has no '='" kv
+        | Some i ->
+          let key = String.sub kv 0 i in
+          if Hashtbl.mem fields key then bad "config key %S occurs twice" key;
+          Hashtbl.add fields key (String.sub kv (i + 1) (String.length kv - i - 1)))
+      (String.split_on_char ';' s);
+    let cfg =
+      {
+        n_muts = int "muts";
+        n_refs = int "refs";
+        n_fields = int "fields";
+        buf_bound = int "buf";
+        sc_memory = bool "sc";
+        pso_memory = bool "pso";
+        deletion_barrier = bool "del";
+        insertion_barrier = bool "ins";
+        insertion_skip_after_roots = bool "o2";
+        alloc_white = bool "allocw";
+        handshake_fences = bool "hsf";
+        skip_init_handshakes = bool "o1";
+        cas_mark = bool "cas";
+        mut_load = bool "load";
+        mut_store = bool "store";
+        mut_alloc = bool "alloc";
+        mut_discard = bool "discard";
+        mut_mfence = bool "mfence";
+        max_cycles = int "cycles";
+        max_mut_ops = int "ops";
+        mutation =
+          (match get "mutation" with
+          | "-" -> None
+          | v -> (
+            match mutation_of_name v with
+            | Some m -> Some m
+            | None -> bad "config key \"mutation\": unknown mutation %S" v));
+      }
+    in
+    Hashtbl.iter (fun key _ -> bad "unknown config key %S" key) fields;
+    cfg
+  with
+  | cfg -> Ok cfg
+  | exception Bad msg -> Error msg
+
 let hash cfg = Digest.to_hex (Digest.string (describe cfg))
 
 (* Per-site queries for the program builders.  Each is a straight equality

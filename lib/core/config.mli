@@ -67,6 +67,13 @@ val describe : t -> string
     is a compile error — the property certificate soundness rests on:
     two configurations with equal [describe] build the same model. *)
 
+val of_describe : string -> (t, string) result
+(** The exact inverse of {!describe}: [of_describe (describe c) = Ok c].
+    Every key must occur exactly once; like {!describe} it names every
+    field, so adding a field is a compile error until both are
+    extended.  [Error] names the offending key: missing, duplicated or
+    unknown key, a bad integer or boolean, or an unknown mutation. *)
+
 val hash : t -> string
 (** Hex digest of {!describe}; the [config_hash] bound into certificate
     headers (lib/certify) and checked by [gcmodel recheck]. *)

@@ -15,6 +15,11 @@ type t = {
   note : string;
 }
 
+let of_config ~label ~shape cfg =
+  match Gcheap.Shapes.by_name ~n_refs:cfg.Config.n_refs ~n_fields:cfg.Config.n_fields shape with
+  | Some shape -> Ok { label; cfg; shape; note = "" }
+  | None -> Error ("unknown shape " ^ shape)
+
 let make ?(n_muts = 1) ?(n_refs = 3) ?(n_fields = 1) ?(buf_bound = 1) ?(max_cycles = 1)
     ?(max_mut_ops = 2) ?(mut_mfence = false) ?(tweak = Fun.id) ~label ~shape ?(note = "") () =
   let cfg =
@@ -30,12 +35,34 @@ let make ?(n_muts = 1) ?(n_refs = 3) ?(n_fields = 1) ?(buf_bound = 1) ?(max_cycl
         mut_mfence;
       }
   in
-  let shape =
-    match Gcheap.Shapes.by_name ~n_refs ~n_fields shape with
-    | Some s -> s
-    | None -> invalid_arg ("Scenario.make: unknown shape " ^ shape)
+  match of_config ~label ~shape cfg with
+  | Ok sc -> { sc with note }
+  | Error e -> invalid_arg ("Scenario.make: " ^ e)
+
+(* The one serialized form of a checked instance, shared by checkpoint
+   manifests and certificate headers.  The configuration travels as its
+   [Config.describe] string — the same bytes [config_hash] digests — so
+   rebuilding an instance never re-resolves command-line flags. *)
+let to_json sc =
+  Obs.Json.Obj
+    [
+      ("label", Obs.Json.String sc.label);
+      ("config", Obs.Json.String (Config.describe sc.cfg));
+      ("shape", Obs.Json.String sc.shape.Gcheap.Shapes.name);
+    ]
+
+let of_json json =
+  let ( let* ) = Result.bind in
+  let str key =
+    match Option.bind (Obs.Json.member key json) Obs.Json.to_string_opt with
+    | Some s -> Ok s
+    | None -> Error (Printf.sprintf "scenario field %S missing or not a string" key)
   in
-  { label; cfg; shape; note }
+  let* label = str "label" in
+  let* describe = str "config" in
+  let* shape = str "shape" in
+  let* cfg = Result.map_error (fun e -> "scenario field \"config\": " ^ e) (Config.of_describe describe) in
+  of_config ~label ~shape cfg
 
 let model sc = Model.make sc.cfg sc.shape
 

@@ -25,6 +25,21 @@ val make :
     no spontaneous mutator MFENCE.
     @raise Invalid_argument on an unknown shape name. *)
 
+val of_config : label:string -> shape:string -> Config.t -> (t, string) result
+(** The scenario of a resolved configuration and a heap-shape name (empty
+    note).  [Error] on an unknown shape. *)
+
+val to_json : t -> Obs.Json.t
+(** The one serialized form of an instance: [{"label", "config",
+    "shape"}], where ["config"] is the {!Config.describe} string.  The
+    note is not part of it.  Checkpoint manifests and certificate headers
+    both embed this object. *)
+
+val of_json : Obs.Json.t -> (t, string) result
+(** Inverse of {!to_json} (up to the note, which comes back empty).
+    [Error] names the missing field, the malformed configuration key
+    ({!Config.of_describe}) or the unknown shape. *)
+
 val model : t -> Model.t
 
 val invariants : ?safety_only:bool -> t -> (string * (Model.sys -> bool)) list

@@ -234,52 +234,16 @@ let check_mutant ~budget ~jobs ~reduce ~scenarios (m : mutant) =
    Certify.Writer.derive re-derives the reach table (the explorer at
    jobs=1 with no state cap: the campaign budget must not refuse a large
    survivor as truncated) and writes a certificate whose header embeds
-   a run configuration `gcmodel recheck` can rebuild the mutated
-   instance from, via the same --mutant spelling the campaign uses.  The
-   equivalence claim then stays checkable long after the campaign ran,
-   by a validator that shares no code with the explorer.
-
-   Caveat: a custom scenario whose configuration tweak is not
-   expressible in the raw explore flags produces a certificate recheck
-   rejects with a config-hash mismatch — a loud failure, never a wrong
-   PASS. *)
+   the mutated scenario (Core.Scenario.to_json), from which `gcmodel
+   recheck` rebuilds the instance exactly.  The equivalence claim then
+   stays checkable long after the campaign ran, by a validator that
+   shares no code with the explorer. *)
 
 let sanitize s =
   String.map
     (fun c ->
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c | _ -> '-')
     s
-
-let cert_run_config (m : mutant) (sc : Core.Scenario.t) ~reduce =
-  let cfg = sc.Core.Scenario.cfg in
-  let disables =
-    List.filter_map
-      (fun (flag, on) -> if on then None else Some (Obs.Json.String flag))
-      [
-        ("load", cfg.Core.Config.mut_load);
-        ("store", cfg.Core.Config.mut_store);
-        ("alloc", cfg.Core.Config.mut_alloc);
-        ("discard", cfg.Core.Config.mut_discard);
-        ("mfence", cfg.Core.Config.mut_mfence);
-      ]
-  in
-  Obs.Json.Obj
-    [
-      ("muts", Obs.Json.Int cfg.Core.Config.n_muts);
-      ("refs", Obs.Json.Int cfg.Core.Config.n_refs);
-      ("fields", Obs.Json.Int cfg.Core.Config.n_fields);
-      ("buf", Obs.Json.Int cfg.Core.Config.buf_bound);
-      ("cycles", Obs.Json.Int cfg.Core.Config.max_cycles);
-      ("ops", Obs.Json.Int cfg.Core.Config.max_mut_ops);
-      ("variant", Obs.Json.String "paper");
-      ("disable", Obs.Json.List disables);
-      ("mutant", Obs.Json.String m.name);
-      ("shape", Obs.Json.String sc.Core.Scenario.shape.Gcheap.Shapes.name);
-      ("safety_only", Obs.Json.Bool false);
-      ("jobs", Obs.Json.Int 1);
-      ("reduce", Obs.Json.String (Reduce.Mode.to_string reduce));
-      ("scenario", Obs.Json.String sc.Core.Scenario.label);
-    ]
 
 let certify_survivor ~dir ~reduce ~scenarios (m : mutant) =
   let rec go acc = function
@@ -288,7 +252,7 @@ let certify_survivor ~dir ~reduce ~scenarios (m : mutant) =
       if not (m.applies sc.Core.Scenario.cfg) then go acc rest
       else begin
         let cfg = m.tweak sc.Core.Scenario.cfg in
-        let sc' = { sc with Core.Scenario.cfg } in
+        let sc' = { sc with Core.Scenario.label = sc.Core.Scenario.label ^ "+" ^ m.name; cfg } in
         let model = Core.Scenario.model sc' in
         let reducer = Core.Reduction.reducer cfg reduce in
         let invariants = Core.Scenario.invariants sc' in
@@ -303,7 +267,7 @@ let certify_survivor ~dir ~reduce ~scenarios (m : mutant) =
             Certify.Writer.write ~dir:out ~config_hash:(Core.Config.hash cfg)
               ~reduce:(Reduce.Mode.to_string reduce)
               ~invariant_names:(List.map fst invariants)
-              ~run_config:(cert_run_config m sc ~reduce) ~max_depth entries
+              ~scenario:(Core.Scenario.to_json sc') ~safety_only:false ~max_depth entries
           with
           | Error e -> Error (sc.Core.Scenario.label, e)
           | Ok h -> go ((sc.Core.Scenario.label, out, h.Certify.Certificate.states) :: acc) rest)

@@ -90,12 +90,19 @@ val run :
     equivalence claim is closed by certificate: per applicable scenario
     a deterministic sweep re-derives the reach table and writes a
     certificate into [certificates]/(mutant)/(scenario), validatable by
-    [gcmodel recheck] (the header embeds a run configuration that
-    rebuilds the mutated instance via [--mutant]).  One ["certificate"]
-    record per written — or failed — certificate goes to [obs]; a
-    scenario whose configuration tweak is not expressible in the raw
-    explore flags yields a certificate recheck rejects with a
-    config-hash mismatch (loud failure, never a wrong PASS). *)
+    [gcmodel recheck] (see {!certify_survivor}).  One ["certificate"]
+    record per written — or failed — certificate goes to [obs]. *)
+
+val certify_survivor :
+  dir:string ->
+  reduce:Reduce.Mode.t ->
+  scenarios:Core.Scenario.t list ->
+  mutant ->
+  ((string * string * int) list, string * string) result
+(** One certificate per applicable scenario, in [dir]/(mutant)/(scenario),
+    whose header embeds the mutated scenario ({!Core.Scenario.to_json})
+    for [gcmodel recheck].  [Ok] lists (scenario, directory, states);
+    [Error] names the failing scenario. *)
 
 val classification_fields : classification -> (string * Obs.Json.t) list
 (** The classification's JSON fields, shared between the JSONL records

@@ -194,14 +194,16 @@ let certificates_md () =
      |---|---|\n\
      | `CERT.json` | the header: format tag, configuration binding, reduction mode, \
      invariant catalogue, closure obligations, root fingerprint, counts, table digest, and \
-     the producing run's flags |\n\
+     the certified instance (scenario and invariant selection) |\n\
      | `table.seg` | the reach table: one segment in `lib/store`'s delta-compressed \
      `GCSEG001` format, all entries globally sorted by fingerprint |\n\n\
      The header is written after the table, so an interrupted writer never leaves a \
      directory that parses as a certificate.\n\n";
   add "## `CERT.json`\n\n";
   add "| field | type | meaning |\n|---|---|---|\n";
-  add "| `format` | string | format tag, `%s`; the validator refuses any other value |\n"
+  add
+    "| `format` | string | format tag, `%s`; the validator refuses any other value, naming \
+     it (`GCCERT001` headers stored the producing run's flags instead of the scenario) |\n"
     Certify.Certificate.format_tag;
   add
     "| `config_hash` | string | MD5 (hex) of `Config.describe` — a serialization of *every* \
@@ -215,9 +217,12 @@ let certificates_md () =
   add "| `max_depth` | int | largest depth stamp in the table |\n";
   add "| `table_digest` | string | MD5 (hex) of the `table.seg` bytes |\n";
   add
-    "| `config` | object | the producing run's raw flags, verbatim — `gcmodel recheck` \
-     rebuilds the instance from them exactly as `gcmodel resume` does from a checkpoint \
-     manifest |\n\n";
+    "| `config` | object | the certified instance: `scenario` is `Core.Scenario.to_json` — \
+     `label`, `config` (the `Config.describe` string whose MD5 is `config_hash`) and `shape` \
+     (heap-shape name) — and `safety_only` is the invariant selection (`true`: the safety \
+     subset; `false`: the full catalogue).  `gcmodel recheck` rebuilds the model with \
+     `Core.Scenario.of_json` (`Config.of_describe` inverts `describe` exactly).  No run \
+     parameter — worker count, state cap, memory budget, checkpoint cadence — is stored |\n\n";
   add "## `table.seg`\n\n";
   add
     "One `GCSEG001` segment (magic, varint header with Bloom filter and block index, \
@@ -260,14 +265,22 @@ let certificates_md () =
      states, no padding.\n\n";
   add "## Determinism\n\n";
   add
-    "Certificates are byte-identical per (configuration, reduction mode), no matter how \
-     they were produced.  A `--jobs 1` producer dumps the explorer's seen-set directly (the \
+    "`table.seg` is a function of (configuration, heap shape, reduction mode) alone.  \
+     `CERT.json` adds only the scenario label and the invariant selection, and no run \
+     parameter, so two runs with the same instance flags (`--variant`, `--mutant`, \
+     `--disable`, `--shape` and the bounds), the same `--safety-only` and the same \
+     `--reduce` write `cmp`-identical `CERT.json` and `table.seg`, whatever their `--jobs`, \
+     `--max-states` (as long as the run closes), `--mem-budget`, `--spill-dir` or \
+     `--checkpoint` settings.  Certificates of one configuration under different labels \
+     (a campaign survivor and the equivalent `explore --mutant` run, say) share \
+     `table.seg` and differ only in `config.scenario.label`.  A `--jobs 1` producer dumps the explorer's seen-set directly (the \
      one-worker engine is a FIFO BFS, so its depth stamps are BFS distances).  A `--jobs > 1` \
      producer re-derives the table by running the same engine at `--jobs 1` with no state \
      cap, because parallel schedules can differ in which representative of a symmetry class \
      they visit at the local-automorphism boundary (DESIGN.md section 14).  `gcmodel certdiff` \
-     between certificates of the same instance therefore reports `identical`, and CI uses \
-     exactly that as its no-change gate.\n\n";
+     between certificates of the same instance therefore reports `identical`, and CI \
+     checks both that and `cmp` on both files between a `--jobs 1` and a `--jobs 2` \
+     producer.\n\n";
   add "## Trust\n\n";
   add
     "`table_digest` catches accidental corruption cheaply; it is **not** a signature and \

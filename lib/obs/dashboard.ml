@@ -9,11 +9,9 @@ type t = {
   mutable checker : string;
   mutable progress : int;  (* states (explore) or steps (walk) *)
   mutable rate : float;  (* overall states/s, from the newest heartbeat *)
-  mutable level : int;
   mutable frontier : int;
   mutable max_states : int;  (* 0 = unknown *)
   mutable dom_rate : float array;  (* per-domain states/s *)
-  mutable dom_util : float array;  (* per-domain busy fraction of the last level *)
   mutable shard_heat : float array;  (* per-shard share of total lock wait *)
   mutable lock_wait_pct : float;  (* lock wait as % of aggregate busy time *)
   mutable serial_fraction : float;  (* < 0 = unknown *)
@@ -60,11 +58,9 @@ let create ?mode ?(out = fun s -> output_string stderr s; flush stderr) () =
     checker = "";
     progress = 0;
     rate = 0.;
-    level = -1;
     frontier = -1;
     max_states = 0;
     dom_rate = [||];
-    dom_util = [||];
     shard_heat = [||];
     lock_wait_pct = 0.;
     serial_fraction = -1.;
@@ -135,10 +131,9 @@ let eta t =
 let panel_lines t =
   let elapsed = Clock.elapsed_s ~since:t.started_ns in
   let head =
-    Fmt.str "%s  +%.1fs  %s states  %.0f/s%s%s%s%s"
+    Fmt.str "%s  +%.1fs  %s states  %.0f/s%s%s%s"
       (if t.checker = "" then "checker" else t.checker)
       elapsed (human t.progress) t.rate
-      (if t.level >= 0 then Fmt.str "  level %d" t.level else "")
       (if t.frontier >= 0 then Fmt.str "  frontier %s" (human t.frontier) else "")
       (eta t)
       (match t.verdict with None -> "" | Some v -> "  " ^ v)
@@ -146,13 +141,8 @@ let panel_lines t =
   let doms =
     List.filteri (fun _ _ -> Array.length t.dom_rate > 1)
       (List.init (Array.length t.dom_rate) (fun d ->
-           let util =
-             if d < Array.length t.dom_util then t.dom_util.(d)
-             else if t.rate > 0. then t.dom_rate.(d) /. t.rate
-             else 0.
-           in
-           Fmt.str "  dom %d [%s] %7.0f/s%s" d (bar 20 util) t.dom_rate.(d)
-             (if d < Array.length t.dom_util then Fmt.str "  busy %3.0f%%" (100. *. util) else "")))
+           let share = if t.rate > 0. then t.dom_rate.(d) /. t.rate else 0. in
+           Fmt.str "  dom %d [%s] %7.0f/s" d (bar 20 share) t.dom_rate.(d)))
   in
   let shards =
     if Array.length t.shard_heat = 0 then []
@@ -291,7 +281,6 @@ let update t event fields =
       (match ifield fields "states" with
       | Some s -> t.progress <- max t.progress s
       | None -> Option.iter (fun s -> t.progress <- max t.progress s) (ifield fields "steps"));
-      Option.iter (fun l -> t.level <- l) (ifield fields "level");
       Option.iter (fun f -> t.frontier <- f) (ifield fields "frontier");
       Option.iter (fun m -> t.max_states <- m) (ifield fields "max_states");
       let rate =
@@ -310,13 +299,6 @@ let update t event fields =
         t.rate <- Array.fold_left ( +. ) 0. t.dom_rate
       | None, Some r -> t.rate <- r
       | _ -> ())
-    | "level" ->
-      Option.iter (fun c -> t.checker <- c) (sfield fields "checker");
-      Option.iter (fun l -> t.level <- l) (ifield fields "level");
-      Option.iter (fun f -> t.frontier <- f) (ifield fields "frontier");
-      Option.iter (fun s -> t.progress <- max t.progress s) (ifield fields "states");
-      Option.iter (fun m -> t.max_states <- m) (ifield fields "max_states");
-      Option.iter (fun u -> t.dom_util <- u) (float_list fields "busy_frac")
     | "scaling-detail" ->
       Option.iter
         (fun w ->

@@ -2,9 +2,9 @@
 
     The dashboard is a reporter sink (see {!Reporter.of_spec}): it
     consumes the same records the JSONL sink would write — heartbeats,
-    per-level records, [scaling-detail], [outcome] — and redraws a
-    status panel in place: states/s, frontier depth, ETA against the
-    state cap, per-domain utilization bars, shard-lock heat, and (under
+    [scaling-detail], [outcome] — and redraws a status panel in place:
+    states/s, frontier size, ETA against the state cap, per-domain rate
+    bars, shard-lock heat, and (under
     [--mem-budget]) a tiered-store line: resident bytes against the
     budget, on-disk segment count and spilled-state count.
 

@@ -65,25 +65,6 @@ let emit t event fields =
     Mutex.unlock t.lock
   end
 
-let span t name f =
-  if not (enabled t) then f ()
-  else begin
-    let start = Clock.monotonic_ns () in
-    let finish ok =
-      emit t "span"
-        [ ("name", Json.String name);
-          ("s", Json.Float (Clock.elapsed_s ~since:start));
-          ("ok", Json.Bool ok) ]
-    in
-    match f () with
-    | v ->
-      finish true;
-      v
-    | exception e ->
-      finish false;
-      raise e
-  end
-
 let close t =
   if not t.closed then begin
     t.closed <- true;

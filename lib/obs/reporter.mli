@@ -41,10 +41,6 @@ val enabled : t -> bool
 (** [emit t event fields] writes one record.  No-op when disabled. *)
 val emit : t -> string -> (string * Json.t) list -> unit
 
-(** [span t name f] times [f ()] and emits a [span] record with the name
-    and duration; the result (or exception) passes through. *)
-val span : t -> string -> (unit -> 'a) -> 'a
-
 (** Flush and release the sink ([jsonl] closes the file).  Idempotent;
     further emits are dropped. *)
 val close : t -> unit

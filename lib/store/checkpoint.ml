@@ -8,7 +8,6 @@ type snapshot = {
   best : (int * int * int) option;
   frontier : (int * int) list array;
   covered : (int * string) list;
-  config : Obs.Json.t;
   store : Tiered.t;
 }
 
@@ -142,7 +141,6 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
         ( "covered",
           pair_list covered (fun (p, l) ->
               Obs.Json.List [ Obs.Json.Int p; Obs.Json.String l ]) );
-        ("config", config);
         ("shards", Obs.Json.List !shards);
       ]
   in
@@ -267,7 +265,6 @@ let load ?shard_cap ?mem_budget ?spill_dir ?merge_fanout dir =
             | _ -> None)
           pairs
     in
-    let config = Option.value ~default:Obs.Json.Null (Obs.Json.member "config" st) in
     let* shard_list =
       match Option.bind (Obs.Json.member "shards" st) Obs.Json.to_list with
       | Some l when List.length l = Tiered.n_shards -> Ok l
@@ -335,7 +332,6 @@ let load ?shard_cap ?mem_budget ?spill_dir ?merge_fanout dir =
           best;
           frontier;
           covered;
-          config;
           store;
         }
     with

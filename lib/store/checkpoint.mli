@@ -9,8 +9,8 @@
     with the counters, the best-violation cell, the frontier (as
     (fingerprint, depth) pairs per worker — states are replayed from
     parent chains at resume, because CIMP systems embed closures and
-    cannot be marshalled), the coverage set, and the tool configuration
-    echoed verbatim.
+    cannot be marshalled) and the coverage set.  The tool configuration
+    is echoed verbatim into [MANIFEST.json] only.
 
     Atomicity protocol: everything is written into a [tmp-snap]
     directory and fsynced, the directory is renamed to [snap-N], and
@@ -29,7 +29,6 @@ type snapshot = {
   best : (int * int * int) option;  (** best violation: depth, fp, invariant index *)
   frontier : (int * int) list array;  (** (fp, depth) tasks per worker *)
   covered : (int * string) list;  (** coverage pairs when tracking was on *)
-  config : Obs.Json.t;  (** tool configuration, echoed verbatim *)
   store : Tiered.t;  (** the rebuilt store (populated on {!load} only) *)
 }
 

@@ -15,7 +15,6 @@ let config_hash = Core.Config.hash cfg
 let invariants = Core.Scenario.invariants sc
 let initial () = (Core.Scenario.model sc).Core.Model.system
 let reducer_of mode = Core.Reduction.reducer cfg mode
-let run_config = Obs.Json.Obj [ ("test", Obs.Json.String "cert-test") ]
 
 let fresh_dir =
   let n = ref 0 in
@@ -24,11 +23,13 @@ let fresh_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gccert-test-%d-%d" (Unix.getpid ()) !n)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -58,7 +59,8 @@ let make_cert ~jobs ~mode dir =
   let h =
     ok_or_fail "write"
       (Certify.Writer.write ~dir ~config_hash ~reduce:(Reduce.Mode.to_string mode)
-         ~invariant_names:(List.map fst invariants) ~run_config ~max_depth entries)
+         ~invariant_names:(List.map fst invariants) ~scenario:(Core.Scenario.to_json sc)
+         ~safety_only:false ~max_depth entries)
   in
   (h, o)
 
@@ -123,7 +125,13 @@ let test_certdiff_reports_differences () =
   Alcotest.(check bool) "different reductions are not identical" false
     (Certify.Diff.identical d);
   Alcotest.(check bool) "the reduce header delta is reported" true
-    (List.exists (fun (f, _, _) -> f = "reduce") d.Certify.Diff.header_deltas)
+    (List.exists (fun (f, _, _) -> f = "reduce") d.Certify.Diff.header_deltas);
+  let hb = ok_or_fail "read_header" (Certify.Certificate.read_header db) in
+  Certify.Certificate.write_header ~dir:db
+    { hb with Certify.Certificate.scenario = Core.Scenario.to_json { sc with Core.Scenario.label = "relabelled" } };
+  let d = ok_or_fail "certdiff" (Certify.Diff.run da db) in
+  Alcotest.(check bool) "the scenario header delta is reported" true
+    (List.exists (fun (f, _, _) -> f = "config.scenario") d.Certify.Diff.header_deltas)
 
 (* -- Adversarial certificates: each tamper fails closed, naming the
       offender ------------------------------------------------------------- *)
@@ -219,6 +227,108 @@ let test_dropped_entry =
     };
   expect_fail ~what:"dropped entry" ~subs:[ "closure miss" ] dir
 
+(* -- The instance description: Config.of_describe and Scenario JSON ------- *)
+
+let test_of_describe_round_trips () =
+  let check what c =
+    match Core.Config.of_describe (Core.Config.describe c) with
+    | Ok c' -> Alcotest.(check bool) (what ^ " round-trips") true (c = c')
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  check "default" Core.Config.default;
+  List.iter
+    (fun v -> check ("variant " ^ v.Core.Variants.name) (v.Core.Variants.tweak Core.Config.default))
+    Core.Variants.all;
+  let base =
+    { Core.Config.default with n_muts = 2; max_cycles = 2; max_mut_ops = 3; buf_bound = 2 }
+  in
+  List.iter
+    (fun m -> check ("mutant " ^ m.Mutate.Campaign.name) (m.Mutate.Campaign.tweak base))
+    (Mutate.Campaign.default_mutants ~muts:2 ())
+
+let test_of_describe_rejects_malformed () =
+  let good = Core.Config.describe Core.Config.default in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then Alcotest.failf "%S not in %S" sub s
+      else if String.sub s i n = sub then String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let expect what input subs =
+    match Core.Config.of_describe input with
+    | Ok _ -> Alcotest.failf "%s: accepted %S" what input
+    | Error e ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %S mentions %S" what e sub) true
+            (contains ~sub e))
+        subs
+  in
+  expect "missing key" (replace ~sub:"refs=3;" ~by:"" good) [ "\"refs\""; "missing" ];
+  expect "duplicate key" (good ^ ";refs=3") [ "\"refs\""; "twice" ];
+  expect "unknown key" (good ^ ";colour=1") [ "\"colour\""; "unknown" ];
+  expect "bad int" (replace ~sub:"refs=3" ~by:"refs=three" good) [ "\"refs\""; "integer" ];
+  expect "unknown mutation"
+    (replace ~sub:"mutation=-" ~by:"mutation=flip-bits:gc" good)
+    [ "\"mutation\""; "flip-bits:gc" ]
+
+(* A campaign survivor certificate names its instance well enough for a
+   validator to rebuild it from the header alone. *)
+let test_survivor_certificate_rebuilds () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let m =
+    List.find
+      (fun m -> m.Mutate.Campaign.expected_equivalent && m.Mutate.Campaign.applies cfg)
+      (Mutate.Campaign.default_mutants ())
+  in
+  let mode = Reduce.Mode.All in
+  let cert_dir =
+    match ok_or_fail "certify_survivor" (Result.map_error snd
+      (Mutate.Campaign.certify_survivor ~dir ~reduce:mode ~scenarios:[ sc ] m)) with
+    | [ (_, d, _) ] -> d
+    | l -> Alcotest.failf "expected one certificate, got %d" (List.length l)
+  in
+  let h = ok_or_fail "read_header" (Certify.Certificate.read_header cert_dir) in
+  let sc' = ok_or_fail "Scenario.of_json" (Core.Scenario.of_json h.Certify.Certificate.scenario) in
+  Alcotest.(check bool) "rebuilt configuration is the mutated one" true
+    (sc'.Core.Scenario.cfg = m.Mutate.Campaign.tweak cfg);
+  let cfg' = sc'.Core.Scenario.cfg in
+  let _, st =
+    ok_or_fail "validate"
+      (Certify.Recheck.validate
+         ~reducer:(Core.Reduction.reducer cfg' mode)
+         ~invariants:(Core.Scenario.invariants ~safety_only:h.Certify.Certificate.safety_only sc')
+         ~config_hash:(Core.Config.hash cfg') ~dir:cert_dir
+         (Core.Scenario.model sc').Core.Model.system)
+  in
+  Alcotest.(check int) "validated the header's states" h.Certify.Certificate.states
+    st.Certify.Recheck.states
+
+let test_old_format_rejected =
+  with_cert @@ fun dir h ->
+  let old =
+    match Certify.Certificate.header_to_json h with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "format" then (k, Obs.Json.String "GCCERT001") else (k, v))
+           fields)
+    | _ -> Alcotest.fail "header is not an object"
+  in
+  Out_channel.with_open_bin (Certify.Certificate.header_path dir) (fun oc ->
+      Out_channel.output_string oc (Obs.Json.to_string_pretty old));
+  match Certify.Certificate.read_header dir with
+  | Ok _ -> Alcotest.fail "GCCERT001 header accepted"
+  | Error e ->
+    List.iter
+      (fun sub ->
+        Alcotest.(check bool) (Printf.sprintf "%S mentions %S" e sub) true (contains ~sub e))
+      [ "\"format\""; "GCCERT001"; "GCCERT002" ]
+
 let suite =
   [
     Alcotest.test_case "round-trip (store dump, reduce all)" `Quick
@@ -239,4 +349,10 @@ let suite =
     Alcotest.test_case "tamper: dropped obligation" `Quick test_dropped_obligation;
     Alcotest.test_case "tamper: wrong-config header" `Quick test_wrong_config_header;
     Alcotest.test_case "tamper: dropped entry behind a valid digest" `Quick test_dropped_entry;
+    Alcotest.test_case "of_describe inverts describe" `Quick test_of_describe_round_trips;
+    Alcotest.test_case "of_describe names malformed keys" `Quick
+      test_of_describe_rejects_malformed;
+    Alcotest.test_case "survivor certificate rebuilds from its header" `Quick
+      test_survivor_certificate_rebuilds;
+    Alcotest.test_case "GCCERT001 header rejected" `Quick test_old_format_rejected;
   ]

@@ -89,20 +89,16 @@ let test_reporter_memory_sink () =
   let obs, dump = Obs.Reporter.memory () in
   Alcotest.(check bool) "memory is enabled" true (Obs.Reporter.enabled obs);
   Obs.Reporter.emit obs "ping" [ ("n", Obs.Json.Int 1) ];
-  let x = Obs.Reporter.span obs "work" (fun () -> 7) in
-  Alcotest.(check int) "span passes the result through" 7 x;
   (match dump () with
-  | [ Obs.Json.Obj ping; Obs.Json.Obj span ] ->
+  | [ Obs.Json.Obj ping ] ->
     Alcotest.check json "event name" (Obs.Json.String "ping") (List.assoc "event" ping);
     Alcotest.(check bool) "base fields present" true
-      (List.mem_assoc "ts" ping && List.mem_assoc "rel_s" ping);
-    Alcotest.check json "span record" (Obs.Json.String "span") (List.assoc "event" span);
-    Alcotest.check json "span name" (Obs.Json.String "work") (List.assoc "name" span)
-  | records -> Alcotest.failf "expected 2 records, got %d" (List.length records));
+      (List.mem_assoc "ts" ping && List.mem_assoc "rel_s" ping)
+  | records -> Alcotest.failf "expected 1 record, got %d" (List.length records));
   Obs.Reporter.close obs;
   Alcotest.(check bool) "closed reporter is disabled" false (Obs.Reporter.enabled obs);
   Obs.Reporter.emit obs "late" [];
-  Alcotest.(check int) "emits after close are dropped" 2 (List.length (dump ()))
+  Alcotest.(check int) "emits after close are dropped" 1 (List.length (dump ()))
 
 let test_reporter_spec_parsing () =
   (match Obs.Reporter.of_spec "off" with
@@ -207,6 +203,27 @@ let test_explore_per_invariant_evals () =
   Alcotest.(check int) "exactly one outcome record" 1 (List.length outcomes);
   Alcotest.(check int) "outcome states agrees with the result" o.Check.Explore.states
     (int_field (List.hd outcomes) "states")
+
+let test_explore_invariant_records_summed () =
+  (* two workers keep separate accounts; the run still reports one
+     record per invariant, whose evals add up to the profile's total *)
+  let obs, dump = Obs.Reporter.memory () in
+  let sc = Core.Scenario.two_mutators in
+  ignore (Core.Scenario.explore ~jobs:2 ~obs ~reduce:Reduce.Mode.All sc);
+  Obs.Reporter.close obs;
+  let records = dump () in
+  let inv_records = records_of_event "invariant" records in
+  Alcotest.(check int) "one record per invariant"
+    (List.length (Core.Scenario.invariants sc))
+    (List.length inv_records);
+  let profile =
+    match records_of_event "profile" records with
+    | [ p ] -> p
+    | ps -> Alcotest.failf "expected one profile record, got %d" (List.length ps)
+  in
+  Alcotest.(check int) "evals sum to the profile's invariant_evals"
+    (int_field profile "invariant_evals")
+    (List.fold_left (fun acc f -> acc + int_field f "evals") 0 inv_records)
 
 let test_explore_jsonl_stream () =
   let path = Filename.temp_file "obs_explore" ".jsonl" in
@@ -407,6 +424,8 @@ let suite =
     Alcotest.test_case "trace: schedule JSON round-trip" `Quick test_trace_json_roundtrip;
     Alcotest.test_case "explore: per-invariant evals == states (baseline)" `Quick
       test_explore_per_invariant_evals;
+    Alcotest.test_case "explore: jobs=2 sums invariant records over workers" `Quick
+      test_explore_invariant_records_summed;
     Alcotest.test_case "explore: JSONL stream is well-formed" `Quick test_explore_jsonl_stream;
     Alcotest.test_case "explore: coverage sorted, gaps found" `Quick
       test_coverage_sorted_and_gaps;
