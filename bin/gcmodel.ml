@@ -446,7 +446,7 @@ let resume_cmd =
       | Ok e -> { e with jobs = Option.value jobs_override ~default:e.jobs }
     in
     let snap =
-      match Store.Checkpoint.load ?mem_budget:e.mem_budget dir with
+      match Store.Checkpoint.load ?mem_budget:e.mem_budget ~fingerprint_scheme:Check.Fingerprint.scheme dir with
       | Error msg -> fail msg
       | Ok snap -> snap
     in
@@ -666,7 +666,7 @@ let crosscheck_cmd =
               ~checkpoint:(dir, 500) ~invariants system
           in
           let errs =
-            match Store.Checkpoint.load ~mem_budget:budget dir with
+            match Store.Checkpoint.load ~mem_budget:budget ~fingerprint_scheme:Check.Fingerprint.scheme dir with
             | Error msg -> [ Fmt.str "resume: cannot load checkpoint: %s" msg ]
             | Ok snap ->
               let r =

@@ -9,8 +9,8 @@
                  selection, no run parameters), reduction
                  mode, the invariant catalogue in evaluation order, the
                  closure obligations the validator must discharge, the
-                 root fingerprint, entry counts, and an MD5 digest of the
-                 table file.
+                 root fingerprint, entry counts, the hash-compaction
+                 omission bound, and an MD5 digest of the table file.
      table.seg   the table: one segment in lib/store's delta-compressed
                  "GCSEG001" format, all entries globally sorted by
                  fingerprint, parent and event zeroed, meta packed as
@@ -23,7 +23,7 @@
    consistently tampered certificate still fails closure, depth or
    verdict revalidation.  DESIGN.md records the argument. *)
 
-let format_tag = "GCCERT002"
+let format_tag = "GCCERT003"
 let header_file = "CERT.json"
 let table_file = "table.seg"
 let header_path dir = Filename.concat dir header_file
@@ -65,6 +65,7 @@ let header_to_json h =
       ("obligations", List (List.map (fun s -> String s) h.obligations));
       ("root_fp", Int h.root_fp);
       ("states", Int h.states);
+      ("omission_bound", Float (Check.Fingerprint.omission_bound h.states));
       ("max_depth", Int h.max_depth);
       ("table_digest", String h.table_digest);
       ("config", Obj [ ("scenario", h.scenario); ("safety_only", Bool h.safety_only) ]);
@@ -100,6 +101,16 @@ let header_of_json json =
   let* obligations = str_list "obligations" in
   let* root_fp = int "root_fp" in
   let* states = int "states" in
+  (* derived from [states]; a header that disagrees was edited by hand *)
+  let* () =
+    let expected = Check.Fingerprint.omission_bound states in
+    Result.bind (field json "" "omission_bound" to_float "a number") (fun b ->
+        if b = expected then Ok ()
+        else
+          Error
+            (Printf.sprintf "header field \"omission_bound\" is %g, expected %g for %d states" b
+               expected states))
+  in
   let* max_depth = int "max_depth" in
   let* table_digest = str "table_digest" in
   let* scenario =

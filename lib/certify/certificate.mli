@@ -9,8 +9,9 @@
     claim semantically). *)
 
 val format_tag : string
-(** ["GCCERT002"] — bound into every header; {!header_of_json} refuses
-    any other value before reading further fields. *)
+(** ["GCCERT003"] — bound into every header; {!header_of_json} refuses
+    any other value before reading further fields.  [GCCERT002] tables
+    hold fingerprints of the previous scheme. *)
 
 val header_file : string
 (** ["CERT.json"]. *)
@@ -33,7 +34,9 @@ val required_obligations : string list
     full invariant catalogue on each entry reproduces its verdict).
     {!Recheck.validate} rejects a header omitting any of them. *)
 
-(** The header's fields; [CERT.json] also carries {!format_tag}. *)
+(** The header's fields; [CERT.json] also carries {!format_tag} and
+    [omission_bound], {!Check.Fingerprint.omission_bound} of [states]
+    (checked on read). *)
 type header = {
   config_hash : string;  (** [Config.hash] of the certified instance *)
   reduce : string;  (** reduction mode: "none", "sym", "por" or "all" *)

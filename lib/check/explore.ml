@@ -456,7 +456,8 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
       if Atomic.get best_depth = max_int then None
       else Some (Atomic.get best_depth, !best_fp, !best_inv)
     in
-    Store.Checkpoint.write ~dir ~seq:!ckpt_seq ~config:run_config ~store:seen
+    Store.Checkpoint.write ~dir ~seq:!ckpt_seq ~fingerprint_scheme:Fingerprint.scheme
+      ~config:run_config ~store:seen
       ~states:(Atomic.get states) ~transitions:(Atomic.get transitions)
       ~deadlocks:(Atomic.get deadlocks) ~truncated:(Atomic.get truncated)
       ~elapsed_s:elapsed_now ~best ~frontier ~covered:(merged_covered ());
@@ -856,6 +857,7 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         ("checker", Obs.Json.String "explore");
         ("jobs", Obs.Json.Int jobs);
         ("states", Obs.Json.Int states);
+        ("omission_bound", Obs.Json.Float (Fingerprint.omission_bound states));
         ("transitions", Obs.Json.Int transitions);
         ("depth", Obs.Json.Int depth);
         ("deadlocks", Obs.Json.Int deadlocks);

@@ -82,7 +82,8 @@ let rec norm = function
 let make stack data = { stack = norm stack; data }
 
 (* The spine of head labels of each stack frame.  With unique labels this
-   identifies the control state; used by [Check.Fingerprint]. *)
+   identifies the control state ([Check.Fingerprint] hashes the same
+   heads without building the list). *)
 let stack_labels stack = List.map head_label stack
 
 (* Labels at which control may take its next atomic action.  A [Choose]

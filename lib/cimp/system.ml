@@ -40,8 +40,15 @@ let pp_event names ppf = function
   | Rendezvous { requester; req_label; responder; resp_label } ->
     Fmt.pf ppf "%s: %s <-> %s: %s" names.(requester) req_label names.(responder) resp_label
 
+(* Control fingerprints mix label hashes in place of label texts, so two
+   distinct labels of one system must not share a hash: refuse to build
+   such a system rather than silently merge control states. *)
 let make names procs =
   if Array.length names <> Array.length procs then invalid_arg "System.make: length mismatch";
+  Label.check_distinct_hashes
+    (Array.fold_left
+       (fun acc cfg -> List.fold_left (fun acc c -> List.rev_append (Com.labels c) acc) acc cfg.Com.stack)
+       [] procs);
   { names; procs }
 
 let n_procs sys = Array.length sys.procs
@@ -143,7 +150,3 @@ let map_data sys p f =
   let cfg = sys.procs.(p) in
   set1 sys p { cfg with Com.data = f cfg.Com.data }
 
-(* Control fingerprint: the label spine of every process's frame stack.
-   With globally unique labels this characterises global control state. *)
-let control_fingerprint sys =
-  Array.to_list (Array.map (fun cfg -> Com.stack_labels cfg.Com.stack) sys.procs)

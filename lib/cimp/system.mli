@@ -26,7 +26,10 @@ val event_owner : event -> pid
 val event_pids : event -> pid list
 
 (** [make names procs] composes the processes.
-    @raise Invalid_argument if the arrays' lengths differ. *)
+    @raise Invalid_argument if the arrays' lengths differ.
+    @raise Label.Hash_collision if two distinct labels of the processes'
+    programs share a {!Label.hash} (control fingerprints could not tell
+    them apart). *)
 val make : string array -> ('a, 'v, 's) Com.config array -> ('a, 'v, 's) t
 
 val n_procs : ('a, 'v, 's) t -> int
@@ -49,10 +52,6 @@ val at : ('a, 'v, 's) t -> pid -> Label.t -> bool
 (** Surgical replacement of one process's data state (for tests and
     experiment drivers). *)
 val map_data : ('a, 'v, 's) t -> pid -> ('s -> 's) -> ('a, 'v, 's) t
-
-(** The label spine of every process's frame stack: the global control
-    fingerprint. *)
-val control_fingerprint : ('a, 'v, 's) t -> Label.t list list
 
 (** Normal form under definite local steps: run every process's
     {!Com.definite_tau} steps to quiescence.  Sound for invariants that

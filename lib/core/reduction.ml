@@ -22,24 +22,26 @@
 open Types
 open State
 
-let spine_of sys p = Cimp.Com.stack_labels (Cimp.System.proc sys p).Cimp.Com.stack
-let head_of sys p = match spine_of sys p with [] -> "" | l :: _ -> l
+(* The head (current) label of process [p], read off its top frame. *)
+let head_of sys p =
+  match (Cimp.System.proc sys p).Cimp.Com.stack with [] -> "" | c :: _ -> Cimp.Com.head_label c
 
 (* -- register liveness ------------------------------------------------------
 
    [canon_mut]/[canon_gc] null dead registers, returning the argument
    physically unchanged when no rule fires (Symmetry counts a state as
-   "nulled" via [!=]).  [spine] is the process's label spine, [h] its
+   "nulled" via [!=]).  [stack] is the process's frame stack, [h] its
    head (current) label. *)
 
-let canon_mut spine h (d : mut_data) =
-  (* At the top of the op loop (spine = [hs-read]: the Choose over ops,
-     whose first branch is the handshake) every op-scratch register is
-     dead: each op writes its own scratch before reading it.  m_roots,
-     m_ops and m_rooted genuinely carry across ops and stay. *)
+let canon_mut stack h (d : mut_data) =
+  (* At the top of the op loop (a single frame whose head is hs-read:
+     the Choose over ops, whose first branch is the handshake) every
+     op-scratch register is dead: each op writes its own scratch before
+     reading it.  m_roots, m_ops and m_rooted genuinely carry across ops
+     and stay. *)
   let d =
     if
-      spine = [ "mut:hs-read" ]
+      (match stack with [ _ ] -> h = "mut:hs-read" | _ -> false)
       && (d.m_src <> None || d.m_dst <> None || d.m_fld <> 0 || d.m_fA || d.m_hs_pending
          || d.m_hs_type <> Hs_get_work || d.m_todo <> [])
     then
@@ -96,32 +98,52 @@ let canon_gc h (g : gc_data) =
   if g.g_hs_m <> 0 && not (String.ends_with ~suffix:":signal" h) then { g with g_hs_m = 0 }
   else g
 
-(* -- pid renaming of the Sys data ------------------------------------------
+(* -- component hashes of the Sys data ----------------------------------------
 
-   [perm] maps old pid to new pid (identity outside the mutators).  The
-   software-pid-indexed lists (buffers, work-lists, ghg) move with it
-   directly — software pids coincide with process pids for the collector
-   and the mutators — and the mutator-indexed handshake lists move with
-   its restriction m -> perm (m+1) - 1. *)
+   The Sys data splits into the slices indexed by a mutator — its store
+   buffer, work-list and ghg (software pid = process pid), its handshake
+   bits (mutator index m = pid - 1), and whether it holds the lock — and
+   the rest: memory, handshake type, the dangling flag, the collector's
+   slices, and the lock reduced to none / collector / some mutator.
+   [mut_slices] hashes one mutator's slices, [sys_rest] the rest; the two
+   cover every field exactly once between them. *)
 
-let permute_idx permi l =
-  let arr = Array.of_list l in
-  let out = Array.copy arr in
-  Array.iteri (fun j x -> out.(permi j) <- x) arr;
-  Array.to_list out
+let mix = Check.Fingerprint.mix
+let mix_data = Check.Fingerprint.mix_data
 
-let rename_sys ~perm sd =
-  let perm_m m = perm (m + 1) - 1 in
-  {
-    sd with
-    s_bufs = permute_idx perm sd.s_bufs;
-    s_W = permute_idx perm sd.s_W;
-    s_ghg = permute_idx perm sd.s_ghg;
-    s_hs_pending = permute_idx perm_m sd.s_hs_pending;
-    s_hs_done = permute_idx perm_m sd.s_hs_done;
-    s_hs_mut_hs = permute_idx perm_m sd.s_hs_mut_hs;
-    s_lock = Option.map perm sd.s_lock;
-  }
+let mut_slices sd pid =
+  let m = pid - 1 in
+  let h = mix_data Check.Fingerprint.seed (buf_of sd pid) in
+  let h = mix_data h (wl_of sd pid) in
+  let h = mix_data h (ghg_of sd pid) in
+  let h = mix_data h (hs_bit sd m) in
+  let h = mix_data h (hs_done sd m) in
+  let h = mix_data h (List.nth sd.s_hs_mut_hs m) in
+  mix h (match sd.s_lock with Some p when p = pid -> 1 | Some _ | None -> 0)
+
+(* The record pattern names every field, so a new Sys field fails to
+   compile here until it is assigned to one side of the split. *)
+let sys_rest
+    ({
+       s_mem;
+       s_hs_type;
+       s_dangling;
+       s_lock;
+       s_bufs = _;
+       s_W = _;
+       s_ghg = _;
+       s_hs_pending = _;
+       s_hs_done = _;
+       s_hs_mut_hs = _;
+     } as sd) =
+  let gc = Config.pid_gc in
+  let h = mix_data Check.Fingerprint.seed s_mem in
+  let h = mix_data h s_hs_type in
+  let h = mix_data h s_dangling in
+  let h = mix_data h (buf_of sd gc) in
+  let h = mix_data h (wl_of sd gc) in
+  let h = mix_data h (ghg_of sd gc) in
+  mix h (match s_lock with None -> 0 | Some p when p = gc -> 1 | Some _ -> 2)
 
 (* -- the symmetry spec ------------------------------------------------------ *)
 
@@ -135,31 +157,22 @@ let spec cfg : (Types.msg, Types.value, State.t) Reduce.Symmetry.spec =
           let g' = canon_gc (head_of sys pid) g in
           if g' == g then d else L_gc g'
         | L_mut m ->
-          let spine = spine_of sys pid in
-          let h = match spine with [] -> "" | l :: _ -> l in
-          let m' = canon_mut spine h m in
+          let m' = canon_mut (Cimp.System.proc sys pid).Cimp.Com.stack (head_of sys pid) m in
           if m' == m then d else L_mut m'
         | L_sys _ -> d);
-    key =
+    sym_hash =
       (fun sys ~pid ~canon ->
-        let sd = Model.sys_data sys cfg in
-        let m = pid - 1 in
-        Stdlib.Obj.repr
-          ( spine_of sys pid,
-            mut canon,
-            buf_of sd pid,
-            wl_of sd pid,
-            ghg_of sd pid,
-            (hs_bit sd m, hs_done sd m, List.nth sd.s_hs_mut_hs m),
-            sd.s_lock = Some pid ));
+        mix (Check.Fingerprint.data canon) (mut_slices (Model.sys_data sys cfg) pid));
+    fixed_hash =
+      (fun _ ~pid:_ ~canon ->
+        match canon with
+        | L_sys sd -> sys_rest sd
+        | L_gc _ | L_mut _ -> Check.Fingerprint.data canon);
     permute_ok =
       (* the handshake signal loop addresses mutators by index in a
          fixed order: inside it (exactly the <tag>:signal rest points)
          the permutation is not an automorphism, so skip it there *)
       (fun sys -> not (String.ends_with ~suffix:":signal" (head_of sys Config.pid_gc)));
-    rename_shared =
-      (fun ~perm ~pid:_ d ->
-        match d with L_sys sd -> L_sys (rename_sys ~perm sd) | L_gc _ | L_mut _ -> d);
   }
 
 (* -- the POR policy ---------------------------------------------------------
@@ -191,8 +204,9 @@ let reducer cfg (mode : Reduce.Mode.t) :
     let reg_nulled = Atomic.make 0 in
     let deferred = Atomic.make 0 in
     let sp = spec cfg in
+    let canonical_fingerprint = Reduce.Symmetry.canonical_fingerprint sp in
     let canonical sys =
-      let fp, permuted, nulled = Reduce.Symmetry.canonical_fingerprint sp sys in
+      let fp, permuted, nulled = canonical_fingerprint sys in
       if permuted then Atomic.incr sym_permuted;
       if nulled then Atomic.incr reg_nulled;
       fp
@@ -238,7 +252,31 @@ let reducer cfg (mode : Reduce.Mode.t) :
    Sys data move with them.  The result is *fingerprintable but not
    executable* — commands embed pids inside request closures, which are
    not rewritten.  The symmetry property test checks canonical
-   fingerprints are invariant under this. *)
+   fingerprints are invariant under this; the fingerprint itself never
+   renames anything, so the test is an independent check. *)
+
+(* [perm] maps old pid to new pid (identity outside the mutators).  The
+   software-pid-indexed lists (buffers, work-lists, ghg) move with it
+   directly and the mutator-indexed handshake lists with its restriction
+   m -> perm (m+1) - 1. *)
+let permute_idx permi l =
+  let arr = Array.of_list l in
+  let out = Array.copy arr in
+  Array.iteri (fun j x -> out.(permi j) <- x) arr;
+  Array.to_list out
+
+let rename_sys ~perm sd =
+  let perm_m m = perm (m + 1) - 1 in
+  {
+    sd with
+    s_bufs = permute_idx perm sd.s_bufs;
+    s_W = permute_idx perm sd.s_W;
+    s_ghg = permute_idx perm sd.s_ghg;
+    s_hs_pending = permute_idx perm_m sd.s_hs_pending;
+    s_hs_done = permute_idx perm_m sd.s_hs_done;
+    s_hs_mut_hs = permute_idx perm_m sd.s_hs_mut_hs;
+    s_lock = Option.map perm sd.s_lock;
+  }
 
 let permute_muts cfg sys perm_m =
   let n = Cimp.System.n_procs sys in

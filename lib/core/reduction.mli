@@ -6,10 +6,13 @@
     definite-tau steps, which never rest in normal form.  See DESIGN.md
     "State-space reduction" for the full argument. *)
 
-(** The symmetry spec: mutator pids are interchangeable, sorted on
-    (control spine, canonicalized local data, per-pid Sys slices);
-    permutation is skipped inside the handshake signal loop, the one
-    window where the collector addresses mutators by index. *)
+(** The symmetry spec: mutator pids are interchangeable.  A mutator's
+    component hashes its control spine, canonicalized local data and its
+    Sys slices (store buffer, work-list, ghg, handshake pending/done/type
+    entries, and whether it holds the lock); the Sys hash leaves out
+    exactly those slices (the lock reduced to none, collector, or some
+    mutator).  Permutation is skipped inside the handshake signal loop,
+    the one window where the collector addresses mutators by index. *)
 val spec : Config.t -> (Types.msg, Types.value, State.t) Reduce.Symmetry.spec
 
 (** Deferrable transitions are exactly the mfence rendezvous ("...fence"

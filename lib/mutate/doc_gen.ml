@@ -193,7 +193,8 @@ let certificates_md () =
      | file | contents |\n\
      |---|---|\n\
      | `CERT.json` | the header: format tag, configuration binding, reduction mode, \
-     invariant catalogue, closure obligations, root fingerprint, counts, table digest, and \
+     invariant catalogue, closure obligations, root fingerprint, counts, omission bound, \
+     table digest, and \
      the certified instance (scenario and invariant selection) |\n\
      | `table.seg` | the reach table: one segment in `lib/store`'s delta-compressed \
      `GCSEG001` format, all entries globally sorted by fingerprint |\n\n\
@@ -203,7 +204,9 @@ let certificates_md () =
   add "| field | type | meaning |\n|---|---|---|\n";
   add
     "| `format` | string | format tag, `%s`; the validator refuses any other value, naming \
-     it (`GCCERT001` headers stored the producing run's flags instead of the scenario) |\n"
+     it (`GCCERT001` headers stored the producing run's flags instead of the scenario; \
+     `GCCERT002` tables hold fingerprints of the previous, per-character fingerprint \
+     scheme) |\n"
     Certify.Certificate.format_tag;
   add
     "| `config_hash` | string | MD5 (hex) of `Config.describe` — a serialization of *every* \
@@ -214,6 +217,11 @@ let certificates_md () =
   add "| `obligations` | string list | the closure obligations the certificate claims (below); must cover all four |\n";
   add "| `root_fp` | int | fingerprint of the canonical initial state |\n";
   add "| `states` | int | table entry count |\n";
+  add
+    "| `omission_bound` | number | n²/2⁶⁴ for the n = `states` entries: the birthday bound \
+     on the probability that hash compaction merged two distinct states, i.e. that some \
+     state was never explored (each of the n(n-1)/2 pairs collides with probability \
+     2⁻⁶³).  Derived from `states`; a header whose value disagrees is rejected |\n";
   add "| `max_depth` | int | largest depth stamp in the table |\n";
   add "| `table_digest` | string | MD5 (hex) of the `table.seg` bytes |\n";
   add

@@ -62,8 +62,8 @@ let t0_name shard = Printf.sprintf "t0-%02d.seg" shard
 
 let snap_name seq = "snap-" ^ string_of_int seq
 
-let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~elapsed_s ~best
-    ~frontier ~covered =
+let write ~dir ~seq ~fingerprint_scheme ~config ~store ~states ~transitions ~deadlocks
+    ~truncated ~elapsed_s ~best ~frontier ~covered =
   let rec mkdirs d =
     if not (Sys.file_exists d) then begin
       mkdirs (Filename.dirname d);
@@ -156,6 +156,7 @@ let write ~dir ~seq ~config ~store ~states ~transitions ~deadlocks ~truncated ~e
         ("schema", Obs.Json.Int 1);
         ("latest", Obs.Json.String (snap_name seq));
         ("seq", Obs.Json.Int seq);
+        ("fingerprint_scheme", Obs.Json.String fingerprint_scheme);
         ("config", config);
       ]
   in
@@ -189,11 +190,29 @@ let manifest dir =
       | Some seq, Some config -> Ok (seq, config)
       | _ -> Error "manifest missing seq/config")
 
-let load ?shard_cap ?mem_budget ?spill_dir ?merge_fanout dir =
+let load ?shard_cap ?mem_budget ?spill_dir ?merge_fanout ~fingerprint_scheme dir =
   let ( let* ) = Result.bind in
   let* _seq, _config = manifest dir in
   let path = Filename.concat dir manifest_name in
   let* j = Result.map_error (fun e -> "bad manifest: " ^ e) (Obs.Json.of_string (read_file path)) in
+  (* the frontier and the seen-set are fingerprints: rebuilt under another
+     scheme they would match no replayed state *)
+  let* () =
+    match Option.bind (Obs.Json.member "fingerprint_scheme" j) Obs.Json.to_string_opt with
+    | Some s when s = fingerprint_scheme -> Ok ()
+    | Some s ->
+      Error
+        (Printf.sprintf
+           "manifest field \"fingerprint_scheme\" is %S, expected %S: the checkpoint's \
+            fingerprints were computed by another scheme; re-run explore --checkpoint"
+           s fingerprint_scheme)
+    | None ->
+      Error
+        (Printf.sprintf
+           "manifest has no \"fingerprint_scheme\": the checkpoint predates fingerprint \
+            scheme %S and cannot be resumed; re-run explore --checkpoint"
+           fingerprint_scheme)
+  in
   let* latest =
     match Option.bind (Obs.Json.member "latest" j) Obs.Json.to_string_opt with
     | Some l -> Ok l

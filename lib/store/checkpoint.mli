@@ -32,10 +32,13 @@ type snapshot = {
   store : Tiered.t;  (** the rebuilt store (populated on {!load} only) *)
 }
 
-(** Write snapshot [seq] of [store] (must be quiescent) into [dir]. *)
+(** Write snapshot [seq] of [store] (must be quiescent) into [dir].
+    [fingerprint_scheme] names the scheme of every fingerprint in the
+    snapshot and goes into [MANIFEST.json]. *)
 val write :
   dir:string ->
   seq:int ->
+  fingerprint_scheme:string ->
   config:Obs.Json.t ->
   store:Tiered.t ->
   states:int ->
@@ -56,11 +59,14 @@ val manifest : string -> (int * Obs.Json.t, string) result
 (** Load the latest complete snapshot.  The store is rebuilt with the
     given parameters (normally those echoed in the manifest config);
     snapshot segments are hard-linked into the live spill directory, so
-    later merges can never destroy the snapshot's own files. *)
+    later merges can never destroy the snapshot's own files.  Refuses,
+    naming the manifest field, a checkpoint whose recorded
+    [fingerprint_scheme] is missing or differs from the given one. *)
 val load :
   ?shard_cap:int ->
   ?mem_budget:int ->
   ?spill_dir:string ->
   ?merge_fanout:int ->
+  fingerprint_scheme:string ->
   string ->
   (snapshot, string) result

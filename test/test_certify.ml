@@ -227,6 +227,26 @@ let test_dropped_entry =
     };
   expect_fail ~what:"dropped entry" ~subs:[ "closure miss" ] dir
 
+(* The omission bound is derived from [states]: a header claiming any
+   other value is refused naming the field. *)
+let test_edited_omission_bound =
+  with_cert @@ fun dir h ->
+  Alcotest.(check (float 0.)) "bound recorded for the states"
+    (Check.Fingerprint.omission_bound h.Certify.Certificate.states)
+    (float_of_int (h.Certify.Certificate.states * h.Certify.Certificate.states) /. 0x1p64);
+  let edited =
+    match Certify.Certificate.header_to_json h with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "omission_bound" then (k, Obs.Json.Float 0.) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "header is not an object"
+  in
+  Out_channel.with_open_bin (Certify.Certificate.header_path dir) (fun oc ->
+      Out_channel.output_string oc (Obs.Json.to_string_pretty edited));
+  expect_fail ~what:"edited omission bound" ~subs:[ "\"omission_bound\"" ] dir
+
 (* -- The instance description: Config.of_describe and Scenario JSON ------- *)
 
 let test_of_describe_round_trips () =
@@ -310,24 +330,29 @@ let test_survivor_certificate_rebuilds () =
 
 let test_old_format_rejected =
   with_cert @@ fun dir h ->
-  let old =
-    match Certify.Certificate.header_to_json h with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (List.map
-           (fun (k, v) -> if k = "format" then (k, Obs.Json.String "GCCERT001") else (k, v))
-           fields)
-    | _ -> Alcotest.fail "header is not an object"
-  in
-  Out_channel.with_open_bin (Certify.Certificate.header_path dir) (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string_pretty old));
-  match Certify.Certificate.read_header dir with
-  | Ok _ -> Alcotest.fail "GCCERT001 header accepted"
-  | Error e ->
-    List.iter
-      (fun sub ->
-        Alcotest.(check bool) (Printf.sprintf "%S mentions %S" e sub) true (contains ~sub e))
-      [ "\"format\""; "GCCERT001"; "GCCERT002" ]
+  List.iter
+    (fun tag ->
+      let old =
+        match Certify.Certificate.header_to_json h with
+        | Obs.Json.Obj fields ->
+          Obs.Json.Obj
+            (List.map
+               (fun (k, v) -> if k = "format" then (k, Obs.Json.String tag) else (k, v))
+               fields)
+        | _ -> Alcotest.fail "header is not an object"
+      in
+      Out_channel.with_open_bin (Certify.Certificate.header_path dir) (fun oc ->
+          Out_channel.output_string oc (Obs.Json.to_string_pretty old));
+      match Certify.Certificate.read_header dir with
+      | Ok _ -> Alcotest.failf "%s header accepted" tag
+      | Error e ->
+        List.iter
+          (fun sub ->
+            Alcotest.(check bool) (Printf.sprintf "%S mentions %S" e sub) true (contains ~sub e))
+          [ "\"format\""; tag; Certify.Certificate.format_tag ])
+    (* GCCERT001: flag echo instead of a scenario; GCCERT002: fingerprints
+       of the pre-component scheme *)
+    [ "GCCERT001"; "GCCERT002" ]
 
 let suite =
   [
@@ -355,4 +380,5 @@ let suite =
     Alcotest.test_case "survivor certificate rebuilds from its header" `Quick
       test_survivor_certificate_rebuilds;
     Alcotest.test_case "GCCERT001 header rejected" `Quick test_old_format_rejected;
+    Alcotest.test_case "tamper: edited omission bound" `Quick test_edited_omission_bound;
   ]

@@ -150,6 +150,29 @@ let test_fingerprint_hashes_distinct_and_stable () =
         (Check.Fingerprint.hash fp'))
     (List.filteri (fun i _ -> i < 128) fps)
 
+(* Fingerprints are a pure function of state content: two equal systems
+   whose label strings were made in different orders (and are different
+   heap objects) fingerprint equal. *)
+let test_fingerprint_label_order_independent () =
+  let names = [ "alpha"; "beta:loop"; "gamma:a-much-longer-label-text" ] in
+  let prog labels : com =
+    Com.Loop (Com.seq (List.map (fun l -> Com.Local_op (l, fun s -> [ s + 1 ])) labels))
+  in
+  let fresh l = String.init (String.length l) (String.get l) in
+  let forward = List.map fresh names in
+  let backward = List.rev (List.map fresh (List.rev names)) in
+  let sys labels : (int, int, int) System.t =
+    System.make [| "p"; "q" |] [| proc (prog labels) 0; proc (prog (List.rev labels)) 1 |]
+  in
+  let q_first labels : (int, int, int) System.t =
+    let q = proc (prog (List.rev labels)) 1 in
+    let p = proc (prog labels) 0 in
+    System.make [| "p"; "q" |] [| p; q |]
+  in
+  let fp s = Check.Fingerprint.hash (Check.Fingerprint.of_system s) in
+  Alcotest.(check int) "labels made in reverse order" (fp (sys forward)) (fp (sys backward));
+  Alcotest.(check int) "programs built in reverse order" (fp (sys forward)) (fp (q_first backward))
+
 (* -- several workers ------------------------------------------------------- *)
 
 (* A bounded branching counter: wide enough to exercise multi-state
@@ -442,6 +465,8 @@ let suite =
     Alcotest.test_case "random walks find violations" `Quick test_random_walk_finds_violation;
     Alcotest.test_case "walks are seed-deterministic" `Quick test_random_walk_deterministic_seed;
     Alcotest.test_case "fingerprint discipline" `Quick test_fingerprints;
+    Alcotest.test_case "fingerprint: independent of label construction order" `Quick
+      test_fingerprint_label_order_independent;
     Alcotest.test_case "fingerprint hashes: distinct and stable" `Quick
       test_fingerprint_hashes_distinct_and_stable;
     Alcotest.test_case "par explorer matches jobs=1 counts" `Quick test_par_matches_seq_counts;

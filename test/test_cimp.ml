@@ -195,7 +195,16 @@ let test_control_fingerprint_distinguishes () =
     match System.steps sys0 with [ (_, s) ] -> s | _ -> Alcotest.fail "one step"
   in
   Alcotest.(check bool) "fingerprints differ" false
-    (System.control_fingerprint sys0 = System.control_fingerprint sys1)
+    (Check.Fingerprint.control (System.proc sys0 0).Com.stack
+    = Check.Fingerprint.control (System.proc sys1 0).Com.stack)
+
+(* Control fingerprints mix label hashes, so a system whose distinct
+   labels share a hash is refused by name. *)
+let test_label_hash_collisions () =
+  Label.check_distinct_hashes [ "a"; "b"; "a"; "mut:hs-read"; "mut:hs-done" ];
+  Alcotest.check_raises "same-length labels collide under a length hash"
+    (Label.Hash_collision ("ab", "cd"))
+    (fun () -> Label.check_distinct_hashes ~hash:String.length [ "ab"; "ab"; "cd" ])
 
 let suite =
   [
@@ -221,4 +230,5 @@ let suite =
     Alcotest.test_case "normalize keeps data nondeterminism" `Quick test_definite_tau_stops_at_nondet;
     Alcotest.test_case "normalize parks at communications" `Quick test_definite_tau_stops_at_request;
     Alcotest.test_case "control fingerprints track progress" `Quick test_control_fingerprint_distinguishes;
+    Alcotest.test_case "label hash collisions are refused" `Quick test_label_hash_collisions;
   ]

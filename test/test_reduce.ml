@@ -68,6 +68,40 @@ let sym_invariance n_muts () =
   in
   let perms = Reduce.Symmetry.permutations (List.init n_muts Fun.id) in
   let states = collect ~limit:4_000 sc in
+  (* class-count oracle: the structural canonical form of a state is the
+     Stdlib.compare-least permuted image of its nulled representative
+     (identity only where the permutation is ruled out), as plain
+     (spine, data) lists.  Equal forms are exactly one orbit, so the
+     fingerprint must map forms to fingerprints one-to-one: a form with
+     two fingerprints is a split orbit, fewer fingerprints than forms a
+     merged one. *)
+  let plain s =
+    List.init (Cimp.System.n_procs s) (fun p ->
+        let c = Cimp.System.proc s p in
+        (Cimp.Com.stack_labels c.Cimp.Com.stack, c.Cimp.Com.data))
+  in
+  let form s =
+    let c = Reduce.Symmetry.canon_state spec s in
+    if spec.Reduce.Symmetry.permute_ok s then
+      List.fold_left
+        (fun m p -> min m (plain (Core.Reduction.permute_muts cfg c (fun m -> List.nth p m))))
+        (plain c) perms
+    else plain c
+  in
+  let fp_of_form = Hashtbl.create 4096 and fps = Hashtbl.create 4096 in
+  List.iter
+    (fun s ->
+      let f = form s and fp = canon_fp s in
+      (match Hashtbl.find_opt fp_of_form f with
+      | Some fp' when fp' <> fp -> Alcotest.fail "one orbit got two canonical fingerprints"
+      | Some _ -> ()
+      | None -> Hashtbl.add fp_of_form f fp);
+      Hashtbl.replace fps fp ())
+    states;
+  Alcotest.(check int) "as many fingerprint classes as structural orbits"
+    (Hashtbl.length fp_of_form) (Hashtbl.length fps);
+  Alcotest.(check bool) "the sample merges some orbits" true
+    (Hashtbl.length fp_of_form < List.length states);
   let tested = ref 0 and buffered = ref 0 and permuted = ref 0 in
   List.iter
     (fun s ->
@@ -98,6 +132,22 @@ let sym_invariance n_muts () =
   Alcotest.(check bool) "sampled permutable states" true (!tested > 100);
   Alcotest.(check bool) "covered distinct non-empty buffers" true (!buffered > 0);
   Alcotest.(check bool) "the sort actually moves processes" true (!permuted > 0)
+
+(* -- Pinned fingerprint values ------------------------------------------------
+
+   Fingerprints are persisted (certificate tables, checkpoint frontiers)
+   and read back by other processes, so their values are part of the
+   format.  A change here must come with a certificate format bump
+   (Certify.Certificate.format_tag) and a new Check.Fingerprint.scheme. *)
+let test_pinned_fingerprint () =
+  let sc = Core.Scenario.two_mutators in
+  let sys0 = Cimp.System.normalize (Core.Scenario.model sc).Core.Model.system in
+  let red = Option.get (Core.Reduction.reducer sc.Core.Scenario.cfg Reduce.Mode.All) in
+  Alcotest.(check string) "scheme" "components-1" Check.Fingerprint.scheme;
+  Alcotest.(check string) "certificate format" "GCCERT003" Certify.Certificate.format_tag;
+  Alcotest.(check int) "of_system" (-2705838864266156011) (Check.Fingerprint.hash (Check.Fingerprint.of_system sys0));
+  Alcotest.(check int) "canonical (reduce all)" (-1159039186717444571)
+    (Check.Fingerprint.hash (red.Check.Reducer.fingerprint sys0))
 
 let test_sym_invariance_2 () = sym_invariance 2 ()
 let test_sym_invariance_3 () = sym_invariance 3 ()
@@ -303,6 +353,7 @@ let suite =
     Alcotest.test_case "permutations: 3! distinct" `Quick test_permutations;
     Alcotest.test_case "sym: canonical fp invariant (2 mutators)" `Quick test_sym_invariance_2;
     Alcotest.test_case "sym: canonical fp invariant (3 mutators)" `Quick test_sym_invariance_3;
+    Alcotest.test_case "fingerprint: pinned values (two mutators)" `Quick test_pinned_fingerprint;
     Alcotest.test_case "por: deferred fences commute (oracle)" `Quick test_por_commutation;
     Alcotest.test_case "por: disjointness matches footprints" `Quick test_disjoint_footprints;
     Alcotest.test_case "differential: baseline" `Slow test_diff_baseline;

@@ -272,7 +272,7 @@ let test_checkpoint_resume_equivalence () =
   (match Store.Checkpoint.manifest dir with
   | Error msg -> Alcotest.failf "manifest: %s" msg
   | Ok (seq, _) -> Alcotest.(check bool) "snapshots were written" true (seq >= 1));
-  (match Store.Checkpoint.load dir with
+  (match Store.Checkpoint.load ~fingerprint_scheme:Check.Fingerprint.scheme dir with
   | Error msg -> Alcotest.failf "load: %s" msg
   | Ok snap ->
     let r =
@@ -301,7 +301,7 @@ let test_resume_from_mid_run_snapshot () =
           else
             match Store.Checkpoint.manifest dir with
             | Ok (seq, _) when seq >= 1 -> (
-              match Store.Checkpoint.load dir with
+              match Store.Checkpoint.load ~fingerprint_scheme:Check.Fingerprint.scheme dir with
               | Ok snap when snap.Store.Checkpoint.states > 0 -> snap_holder := Some snap
               | _ -> poll ())
             | _ ->
@@ -350,7 +350,7 @@ let test_crash_mid_checkpoint_recovery () =
       Out_channel.output_string oc "{\"schema\":1,\"truncat");
   Out_channel.with_open_bin (Filename.concat dir "MANIFEST.tmp") (fun oc ->
       Out_channel.output_string oc "{\"schema\":1,\"latest\":\"snap-99");
-  (match Store.Checkpoint.load dir with
+  (match Store.Checkpoint.load ~fingerprint_scheme:Check.Fingerprint.scheme dir with
   | Error msg -> Alcotest.failf "load after simulated crash: %s" msg
   | Ok snap ->
     Alcotest.(check int) "last complete snapshot survives" o.Check.Explore.states
@@ -378,7 +378,7 @@ let test_resume_model_mismatch_refused () =
   ignore
     (Check.Explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 100) ~invariants:[]
        (two_counters ()));
-  (match Store.Checkpoint.load dir with
+  (match Store.Checkpoint.load ~fingerprint_scheme:Check.Fingerprint.scheme dir with
   | Error msg -> Alcotest.failf "load: %s" msg
   | Ok snap ->
     let other =
@@ -389,6 +389,51 @@ let test_resume_model_mismatch_refused () =
       (Invalid_argument "Explore.run: checkpoint does not match this model configuration")
       (fun () ->
         ignore (Check.Explore.run ~jobs:1 ~normal_form:false ~resume:snap ~invariants:[] other)));
+  rm_rf dir
+
+(* A checkpoint written under another fingerprint scheme (or before
+   schemes were recorded) must be refused by name: its frontier and
+   seen-set fingerprints would match no replayed state. *)
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_resume_scheme_mismatch_refused () =
+  let dir = tmp_dir "scheme" in
+  ignore
+    (Check.Explore.run ~jobs:1 ~normal_form:false ~checkpoint:(dir, 100) ~invariants:[]
+       (two_counters ()));
+  let path = Filename.concat dir "MANIFEST.json" in
+  let manifest =
+    match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok (Obs.Json.Obj fields) -> fields
+    | _ -> Alcotest.fail "MANIFEST.json is not a JSON object"
+  in
+  Alcotest.(check (option string)) "manifest records the scheme"
+    (Some Check.Fingerprint.scheme)
+    (Option.bind (List.assoc_opt "fingerprint_scheme" manifest) Obs.Json.to_string_opt);
+  let refused what fields expect =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (Obs.Json.to_string (Obs.Json.Obj fields)));
+    match Store.Checkpoint.load ~fingerprint_scheme:Check.Fingerprint.scheme dir with
+    | Ok _ -> Alcotest.failf "%s: checkpoint accepted" what
+    | Error e ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %S mentions %S" what e sub) true
+            (contains ~sub e))
+        expect
+  in
+  refused "edited tag"
+    (List.map
+       (fun (k, v) ->
+         if k = "fingerprint_scheme" then (k, Obs.Json.String "components-0") else (k, v))
+       manifest)
+    [ "\"fingerprint_scheme\""; "components-0"; Check.Fingerprint.scheme ];
+  refused "missing tag"
+    (List.filter (fun (k, _) -> k <> "fingerprint_scheme") manifest)
+    [ "\"fingerprint_scheme\""; Check.Fingerprint.scheme ];
   rm_rf dir
 
 let suite =
@@ -407,4 +452,6 @@ let suite =
       test_crash_mid_checkpoint_recovery;
     Alcotest.test_case "resume against the wrong model is refused" `Quick
       test_resume_model_mismatch_refused;
+    Alcotest.test_case "resume under another fingerprint scheme is refused" `Quick
+      test_resume_scheme_mismatch_refused;
   ]
