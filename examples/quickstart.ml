@@ -37,7 +37,7 @@ let () =
 
   (* 3. exhaustive check of the full invariant catalogue *)
   let invariants =
-    List.map (fun i -> (i.Core.Invariants.name, i.Core.Invariants.check)) (Core.Invariants.all cfg)
+    List.map (fun i -> (i.Core.Invariants.name, Core.Invariants.check i)) (Core.Invariants.all cfg)
   in
   Fmt.pr "checking %d invariants, among them:@." (List.length invariants);
   List.iteri
@@ -54,7 +54,7 @@ let () =
   let model' = Core.Model.make broken shape3 in
   let safety =
     List.map
-      (fun i -> (i.Core.Invariants.name, i.Core.Invariants.check))
+      (fun i -> (i.Core.Invariants.name, Core.Invariants.check i))
       (Core.Invariants.safety_invariants broken)
   in
   let outcome' = Check.Explore.run ~max_states:5_000_000 ~invariants:safety model'.Core.Model.system in

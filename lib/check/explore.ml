@@ -869,14 +869,6 @@ let run ?(jobs = 1) ?(max_states = 1_000_000) ?(normal_form = true) ?(track_cove
         ("elapsed_s", Obs.Json.Float elapsed);
         ("states_per_sec", Obs.Json.Float rate);
       ];
-    Obs.Reporter.emit obs "scaling"
-      [
-        ("checker", Obs.Json.String "explore");
-        ("jobs", Obs.Json.Int jobs);
-        ("states", Obs.Json.Int states);
-        ("elapsed_s", Obs.Json.Float elapsed);
-        ("states_per_sec", Obs.Json.Float rate);
-      ];
     (* contention attribution + Amdahl decomposition of this run *)
     let lock_stats, shard_wait_s = Obs.Contention.shard_summary (Store.Tiered.locks seen) in
     let _, deque_wait_s = Obs.Contention.shard_summary (Deque.locks deques) in

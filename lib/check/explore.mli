@@ -129,7 +129,7 @@ val max_jobs : int
            record (wall time split into successor generation,
            normalization, fingerprinting, invariant evaluation and the
            rest, summed over workers, plus GC counters), an [outcome]
-           record, a [scaling] record ([jobs], [states], [elapsed_s],
+           record (among its fields [jobs], [states], [elapsed_s] and
            [states_per_sec]) and a [scaling-detail] record: per-domain
            busy and idle seconds, steal / failed-steal / stolen-task /
            termination-probe counters, seen-set shard lock contention

@@ -1,4 +1,5 @@
-(* Per-invariant eval counts and cumulative wall time.  See inv_stats.mli. *)
+(* Per-invariant eval counts and cumulative time on the monotonic clock.
+   See inv_stats.mli. *)
 
 type 'sys t = {
   check : 'sys -> string option;
@@ -19,22 +20,26 @@ let instrumented invariants =
   let invs = Array.of_list invariants in
   let n = Array.length invs in
   let evals = Array.make n 0 in
-  let time = Array.make n 0. in
+  let time_ns = Array.make n 0 in
   let check sys =
     let rec go i =
       if i >= n then None
       else begin
         let name, p = invs.(i) in
-        let t = Unix.gettimeofday () in
+        let t = Obs.Clock.monotonic_ns () in
         let ok = p sys in
-        time.(i) <- time.(i) +. (Unix.gettimeofday () -. t);
+        time_ns.(i) <- time_ns.(i) + (Obs.Clock.monotonic_ns () - t);
         evals.(i) <- evals.(i) + 1;
         if ok then go (i + 1) else Some name
       end
     in
     go 0
   in
-  { check; counts = (fun () -> Array.mapi (fun i (name, _) -> (name, evals.(i), time.(i))) invs) }
+  {
+    check;
+    counts =
+      (fun () -> Array.mapi (fun i (name, _) -> (name, evals.(i), Obs.Clock.ns_to_s time_ns.(i))) invs);
+  }
 
 let make ~obs invariants =
   if Obs.Reporter.enabled obs then instrumented invariants else plain invariants

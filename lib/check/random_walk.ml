@@ -36,18 +36,18 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
   let tr_taken = ref 0 in
   let tr_start = ref tr_t0 in
   let trace_tail = max 1 trace_tail in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.monotonic_ns () in
   (* per-phase wall-time attribution for the "profile" record (no
      fingerprinting here: the walk keeps no seen-set) *)
   let profiling = Obs.Reporter.enabled obs in
   let gc0 = Gc.quick_stat () in
-  let succ_s = ref 0. and succ_calls = ref 0 in
-  let norm_s = ref 0. and norm_calls = ref 0 in
+  let succ_ns = ref 0 and succ_calls = ref 0 in
+  let norm_ns = ref 0 and norm_calls = ref 0 in
   let timed acc calls f =
     if profiling then begin
-      let t = Unix.gettimeofday () in
+      let t = Obs.Clock.monotonic_ns () in
       let r = f () in
-      acc := !acc +. (Unix.gettimeofday () -. t);
+      acc := !acc + (Obs.Clock.monotonic_ns () - t);
       incr calls;
       r
     end
@@ -66,8 +66,8 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
   let hb_time = ref t0 in
   let heartbeat () =
     if Obs.Reporter.enabled obs && !taken - !hb_taken >= heartbeat_every then begin
-      let now = Unix.gettimeofday () in
-      let interval = now -. !hb_time in
+      let now = Obs.Clock.monotonic_ns () in
+      let interval = Obs.Clock.ns_to_s (now - !hb_time) in
       let rate =
         if interval > 0. then float_of_int (!taken - !hb_taken) /. interval else 0.
       in
@@ -110,14 +110,14 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
       !continue && !violation = None && !taken < steps && !len < max_run_length
       && not (should_stop ())
     do
-      match timed succ_s succ_calls (fun () -> Reducer.succs_of reducer !sys) with
+      match timed succ_ns succ_calls (fun () -> Reducer.succs_of reducer !sys) with
       | [] ->
         (* dead end; restart *)
         incr restarts;
         continue := false
       | succs ->
         let event, sys' = List.nth succs (Random.State.int rng (List.length succs)) in
-        let sys' = timed norm_s norm_calls (fun () -> norm sys') in
+        let sys' = timed norm_ns norm_calls (fun () -> norm sys') in
         sys := sys';
         incr taken;
         incr len;
@@ -135,7 +135,7 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
         | None -> ())
     done
   done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Obs.Clock.elapsed_s ~since:t0 in
   if tr_on then
     Obs.Tracing.span_args tracer ~dom:lane ~name:n_walk ~start_ns:tr_t0
       ~stop_ns:(Obs.Tracing.now tracer)
@@ -152,7 +152,8 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
   if profiling then begin
     let inv_evals, inv_s = Inv_stats.totals [ iv ] in
     let gc1 = Gc.quick_stat () in
-    let other = Float.max 0. (elapsed -. !succ_s -. !norm_s -. inv_s) in
+    let succ_s = Obs.Clock.ns_to_s !succ_ns and norm_s = Obs.Clock.ns_to_s !norm_ns in
+    let other = Float.max 0. (elapsed -. succ_s -. norm_s -. inv_s) in
     Obs.Reporter.emit obs "profile"
       (("checker", Obs.Json.String "walk")
        :: domain_field
@@ -160,9 +161,9 @@ let run ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000) ?(normal_form 
           ("states", Obs.Json.Int !taken);
           ("transitions", Obs.Json.Int !taken);
           ("elapsed_s", Obs.Json.Float elapsed);
-          ("succ_gen_s", Obs.Json.Float !succ_s);
+          ("succ_gen_s", Obs.Json.Float succ_s);
           ("succ_gen_calls", Obs.Json.Int !succ_calls);
-          ("normalize_s", Obs.Json.Float !norm_s);
+          ("normalize_s", Obs.Json.Float norm_s);
           ("fingerprint_s", Obs.Json.Float 0.);
           ("fingerprint_calls", Obs.Json.Int 0);
           ("invariant_s", Obs.Json.Float inv_s);
@@ -215,7 +216,7 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
     run ~seed ~steps ~max_run_length ~normal_form ~trace_tail ~obs ~tracer ~heartbeat_every
       ?reducer ~invariants initial
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.monotonic_ns () in
     let stop = Atomic.make false in
     let should_stop () = Atomic.get stop in
     (* split the step budget across domains; the first [steps mod jobs]
@@ -235,7 +236,7 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
     let outcomes = o0 :: Array.to_list (Array.map Domain.join doms) in
     (* lowest-domain-index winner; when no domain found one, None *)
     let violation = List.find_map (fun o -> o.violation) outcomes in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Obs.Clock.elapsed_s ~since:t0 in
     let sum f = List.fold_left (fun n o -> n + f o) 0 outcomes in
     let steps_taken = sum (fun o -> o.steps_taken) in
     let runs = sum (fun o -> o.runs) in
@@ -253,14 +254,6 @@ let swarm ?(jobs = 1) ?(seed = 42) ?(steps = 100_000) ?(max_run_length = 5_000)
             match violation with
             | None -> Obs.Json.Null
             | Some tr -> Obs.Json.String tr.Trace.broken );
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ("steps_per_sec", Obs.Json.Float rate);
-        ];
-      Obs.Reporter.emit obs "scaling"
-        [
-          ("checker", Obs.Json.String "walk-swarm");
-          ("jobs", Obs.Json.Int jobs);
-          ("steps", Obs.Json.Int steps_taken);
           ("elapsed_s", Obs.Json.Float elapsed);
           ("steps_per_sec", Obs.Json.Float rate);
         ]

@@ -67,9 +67,8 @@ val run :
     flag the other domains poll every step; the lowest-indexed finder's
     trace is returned.  Run/step/restart counters are summed over the
     domains into the swarm's [outcome] record, which carries the single
-    walker's [steps], [runs] and [dead_end_restarts] fields, followed by a
-    [scaling] record.  [jobs <= 1] delegates to {!run}; [jobs] is capped
-    at 64. *)
+    walker's [steps], [runs] and [dead_end_restarts] fields plus [jobs].
+    [jobs <= 1] delegates to {!run}; [jobs] is capped at 64. *)
 val swarm :
   ?jobs:int ->
   ?seed:int ->

@@ -100,6 +100,18 @@ let at_labels { stack; _ } =
   in
   match stack with [] -> [] | c :: _ -> List.sort_uniq Label.compare (heads [] c)
 
+(* [exists_at f cfg] = [List.exists f (at_labels cfg)], without building
+   the list: the invariants ask it of every state. *)
+let exists_at f { stack; _ } =
+  let rec go = function
+    | Seq (a, _) -> go a
+    | Loop body -> go body
+    | Choose cs -> List.exists go cs
+    | Skip l | Local_op (l, _) | Request (l, _, _) | Response (l, _) | If (l, _, _, _) | While (l, _, _) ->
+      f l
+  in
+  match stack with [] -> false | c :: _ -> go c
+
 let terminated { stack; _ } = stack = []
 
 (* -- Offers: the three kinds of transitions a process can make ----------- *)

@@ -142,7 +142,7 @@ let normalize sys =
   { sys with procs }
 
 (* The paper's [at p l]: does control of process p reside at label l? *)
-let at sys p l = List.mem l (Com.at_labels sys.procs.(p))
+let at sys p l = Com.exists_at (Label.equal l) sys.procs.(p)
 
 (* Surgical replacement of one process's data state (testing and
    experiment drivers; the step functions never need it). *)

@@ -9,7 +9,8 @@
      grey) at once, and without the ghost it would look black between the
      CAS and the work-list insertion.
 
-   Marks are interpreted against the committed memory's f_M sense. *)
+   Marks are interpreted against the committed memory's f_M sense.  Each
+   function below builds the grey set at most once per call. *)
 
 open State
 
@@ -24,15 +25,23 @@ let greys cfg sd =
 let is_grey cfg sd r = List.mem r (greys cfg sd)
 
 (* Marked on the heap w.r.t. the committed sense of f_M. *)
-let is_marked sd r = Gcheap.Heap.mark sd.s_mem.heap r = Some sd.s_mem.fM
+let is_marked sd r =
+  match Gcheap.Heap.mark sd.s_mem.heap r with Some b -> b = sd.s_mem.fM | None -> false
 
-let is_white sd r = Gcheap.Heap.mark sd.s_mem.heap r = Some (not sd.s_mem.fM)
+let is_white sd r =
+  match Gcheap.Heap.mark sd.s_mem.heap r with Some b -> b <> sd.s_mem.fM | None -> false
 
 let is_black cfg sd r = is_marked sd r && not (is_grey cfg sd r)
 
 let whites sd = Gcheap.Heap.marked_with sd.s_mem.heap (not sd.s_mem.fM)
 let marked sd = Gcheap.Heap.marked_with sd.s_mem.heap sd.s_mem.fM
-let blacks cfg sd = List.filter (fun r -> not (is_grey cfg sd r)) (marked sd)
+
+let blacks cfg sd =
+  match marked sd with
+  | [] -> []
+  | marked ->
+    let greys = greys cfg sd in
+    List.filter (fun r -> not (List.mem r greys)) marked
 
 (* Grey-protected whites: white objects reachable from some grey via a
    chain of zero or more white objects (Fig. 1). *)

@@ -1,17 +1,21 @@
 (** Executable renditions of the paper's invariant catalogue
     (Sections 2.1 and 3.2).
 
-    Each invariant is a predicate over a global CIMP state; the checker
+    Each invariant is a conjunction over a global CIMP state; the checker
     evaluates all of them at every reachable state.  The first three are
     the safety properties (the headline theorem and its operational
     manifestations); the rest are the auxiliary invariants of the proof,
     guarded exactly as the paper guards them (by handshake phase, pending
     writes, etc.).  Guards that only hold for the unablated algorithm
-    consult the configuration. *)
+    consult the configuration.
+
+    Each conjunct is defined once, as a {!conjunct}: its name, its
+    statement and its failure condition.  {!check}, {!witness} and the
+    conjunct catalogue are all read off those values. *)
 
 (** Structured failure evidence: the failing conjunct of an invariant,
     the heap references and processes witnessing it, and a one-sentence
-    account.  Produced by {!t.witness} on a violating state — the
+    account.  Produced by {!witness} on a violating state — the
     diagnosable-counterexample payload [lib/explain] and the
     [gcmodel explain] subcommand build their narratives from. *)
 type witness = {
@@ -24,6 +28,17 @@ type witness = {
 val witness_to_json : witness -> Obs.Json.t
 val pp_witness : witness Fmt.t
 
+(** One conjunct of an invariant. *)
+type conjunct = {
+  label : string;
+      (** the conjunct's name, carried by every witness it produces and
+          used as a kill-matrix column *)
+  statement : string;  (** one-line informal statement *)
+  fails : Model.sys -> witness list;
+      (** the offending witnesses on the state; [[]] exactly when the
+          conjunct holds *)
+}
+
 type t = {
   name : string;
   doc : string;
@@ -31,19 +46,19 @@ type t = {
   paper : string;
       (** the paper's name/section for this invariant, e.g.
           ["sys_phase_inv / handshake_phase_inv, Section 3.2 / Fig. 3"] *)
-  conjuncts : (string * string) list;
-      (** every conjunct name this invariant's witnesses can carry, each
-          with a one-line informal statement — the source of truth for the
-          generated [docs/INVARIANTS.md] ([gcmodel doc-invariants]) and
-          the columns of the campaign kill-matrix *)
-  check : Model.sys -> bool;
-  witness : Model.sys -> witness list;
-      (** Structured evidence on the state: [[]] exactly when {!check}
-          holds (guaranteed by construction — [witness] re-evaluates
-          [check] first).  Only meant to run on the one violating state;
-          it recomputes reachability freely and is not part of the
-          checker's hot path. *)
+  conjuncts : conjunct list;
+      (** in declared order — the source of truth for the generated
+          [docs/INVARIANTS.md] ([gcmodel doc-invariants]) and the columns
+          of the campaign kill-matrix *)
 }
+
+val check : t -> Model.sys -> bool
+(** Every conjunct holds.  Stops at the first failing conjunct: this is
+    the checker's hot path. *)
+
+val witness : t -> Model.sys -> witness list
+(** Every conjunct's witnesses, concatenated in declared order: [[]]
+    exactly when {!check} holds.  Meant for the one violating state. *)
 
 (** {1 Root sets} *)
 

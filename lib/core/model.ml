@@ -74,6 +74,4 @@ let mut_data (sys : sys) cfg m =
 
 (* Is process p's control inside a label whose name starts with [prefix]? *)
 let at_prefix (sys : sys) p prefix =
-  List.exists
-    (fun lbl -> String.length lbl >= String.length prefix && String.sub lbl 0 (String.length prefix) = prefix)
-    (Cimp.Com.at_labels (Cimp.System.proc sys p))
+  Cimp.Com.exists_at (String.starts_with ~prefix) (Cimp.System.proc sys p)

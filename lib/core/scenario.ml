@@ -70,7 +70,7 @@ let invariants ?(safety_only = false) sc =
   let invs =
     if safety_only then Invariants.safety_invariants sc.cfg else Invariants.all sc.cfg
   in
-  List.map (fun i -> (i.Invariants.name, i.Invariants.check)) invs
+  List.map (fun i -> (i.Invariants.name, Invariants.check i)) invs
 
 (* [jobs] worker domains (default 1).  [reduce] defaults to None_ —
    callers opt in — and is applied identically at every [jobs] (the

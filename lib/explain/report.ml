@@ -50,7 +50,7 @@ let analyze cfg (trace : trace) =
   let doc, witnesses =
     match Core.Invariants.find cfg trace.Check.Trace.broken with
     | Some inv ->
-      (inv.Core.Invariants.doc, inv.Core.Invariants.witness (Check.Trace.final trace))
+      (inv.Core.Invariants.doc, Core.Invariants.witness inv (Check.Trace.final trace))
     | None -> ("", [])
   in
   {

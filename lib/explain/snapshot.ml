@@ -60,11 +60,12 @@ let capture cfg ~step system =
             })
       dom
   in
+  let greys = Core.Color.greys cfg sd in
   let colors =
     List.map
       (fun r ->
         ( r,
-          if Core.Color.is_grey cfg sd r then Grey
+          if List.mem r greys then Grey
           else if Core.Color.is_marked sd r then Black
           else White ))
       dom

@@ -133,7 +133,7 @@ let conjunct_of cfg trace =
   match Core.Invariants.find cfg trace.Check.Trace.broken with
   | None -> trace.Check.Trace.broken
   | Some inv -> (
-    match inv.Core.Invariants.witness (Check.Trace.final trace) with
+    match Core.Invariants.witness inv (Check.Trace.final trace) with
     | [] -> trace.Check.Trace.broken
     | wit :: _ -> wit.Core.Invariants.conjunct)
 

@@ -63,7 +63,10 @@ let invariants_md () =
       | [] -> ()
       | cs ->
         add "| conjunct | statement |\n|---|---|\n";
-        List.iter (fun (name, stmt) -> add "| `%s` | %s |\n" name stmt) cs;
+        List.iter
+          (fun (c : Core.Invariants.conjunct) ->
+            add "| `%s` | %s |\n" c.Core.Invariants.label c.Core.Invariants.statement)
+          cs;
         add "\n"))
     invs;
   Buffer.contents b

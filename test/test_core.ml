@@ -261,7 +261,7 @@ let test_initial_invariants_hold_on_all_shapes () =
           Alcotest.(check bool)
             (s.Gcheap.Shapes.name ^ " / " ^ i.Core.Invariants.name)
             true
-            (i.Core.Invariants.check m.Core.Model.system))
+            (Core.Invariants.check i m.Core.Model.system))
         (Core.Invariants.all c))
     (Gcheap.Shapes.all ~n_refs:4 ~n_fields:1)
 
@@ -271,7 +271,7 @@ let test_dangling_root_caught () =
   let s = { s with Gcheap.Shapes.roots = [ [ 1 ] ] } in
   let m = Core.Model.make { cfg with Cfg.n_muts = 1 } s in
   let v = Core.Invariants.valid_refs_inv { cfg with Cfg.n_muts = 1 } in
-  Alcotest.(check bool) "violation detected" false (v.Core.Invariants.check m.Core.Model.system)
+  Alcotest.(check bool) "violation detected" false (Core.Invariants.check v m.Core.Model.system)
 
 let test_hp_mapping () =
   Alcotest.(check bool) "nop1 -> Idle" true (hp_of_hs Hs_nop1 = Hp_idle);

@@ -31,8 +31,8 @@ let test_witness_iff_check () =
   let final = Check.Trace.final tr in
   List.iter
     (fun inv ->
-      let holds = inv.Core.Invariants.check final in
-      let ws = inv.Core.Invariants.witness final in
+      let holds = Core.Invariants.check inv final in
+      let ws = Core.Invariants.witness inv final in
       Alcotest.(check bool)
         (inv.Core.Invariants.name ^ ": witness empty iff check holds")
         holds (ws = []))
@@ -44,7 +44,7 @@ let test_witness_iff_check () =
       Alcotest.(check bool)
         (inv.Core.Invariants.name ^ ": no witness initially")
         true
-        (inv.Core.Invariants.witness initial = []))
+        (Core.Invariants.witness inv initial = []))
     (Core.Invariants.all sc.Core.Scenario.cfg)
 
 (* -- Check.Trace import validation -------------------------------------------- *)

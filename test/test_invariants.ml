@@ -1,6 +1,7 @@
 (* Discrimination tests for the invariant catalogue: every auxiliary
    invariant must be *refutable* — we build a concrete global state that
-   violates it and check that the predicate says no.  (The positive
+   violates it and check that the predicate says no, and that its first
+   witness names the expected conjunct.  (The positive
    direction — all invariants hold on every reachable state — is covered by
    the exhaustive runs in test_safety.ml; these tests guard against an
    invariant silently degenerating to [fun _ -> true].) *)
@@ -23,30 +24,45 @@ let mut1 = Cfg.pid_mut cfg 1
 let with_sys f sys = Cimp.System.map_data sys pid_sys (St.map_sys f)
 let with_mut m f sys = Cimp.System.map_data sys (Cfg.pid_mut cfg m) (St.map_mut f)
 
-let check_inv name sys expected =
+let find name =
   match Core.Invariants.find cfg name with
   | None -> Alcotest.fail ("unknown invariant " ^ name)
-  | Some i -> Alcotest.(check bool) name expected (i.Core.Invariants.check sys)
+  | Some i -> i
 
-let violates name f = check_inv name (with_sys f (base ())) false
+let witnessed_conjuncts name sys =
+  List.map (fun w -> w.Core.Invariants.conjunct) (Core.Invariants.witness (find name) sys)
+
+(* On a refuted state, [conjunct] is the conjunct the first witness names:
+   the one the campaign's kill-matrix records. *)
+let check_inv ?conjunct name sys expected =
+  Alcotest.(check bool) name expected (Core.Invariants.check (find name) sys);
+  Option.iter
+    (fun c ->
+      Alcotest.(check (option string))
+        (name ^ ": first witness") (Some c)
+        (List.nth_opt (witnessed_conjuncts name sys) 0))
+    conjunct
+
+let refutes name conjunct sys = check_inv ~conjunct name sys false
+let violates name conjunct f = refutes name conjunct (with_sys f (base ()))
 
 let test_valid_refs_refutable () =
   (* a rooted reference with no object *)
   let sys = with_mut 0 (fun d -> { d with St.m_roots = [ 2 ] }) (base ()) in
-  check_inv "valid_refs_inv" sys false
+  refutes "valid_refs_inv" "reachable-implies-valid" sys
 
-let test_no_dangling_refutable () = violates "no_dangling_access" (fun sd -> { sd with St.s_dangling = true })
+let test_no_dangling_refutable () = violates "no_dangling_access" "no-dangling-access" (fun sd -> { sd with St.s_dangling = true })
 
 let test_worklists_disjoint_refutable () =
-  violates "worklists_disjoint" (fun sd -> St.set_wl (St.set_wl sd mut0 [ 0 ]) mut1 [ 0 ])
+  violates "worklists_disjoint" "grey-ownership-exclusive" (fun sd -> St.set_wl (St.set_wl sd mut0 [ 0 ]) mut1 [ 0 ])
 
 let test_worklists_dup_refutable () =
-  violates "worklists_disjoint" (fun sd ->
+  violates "worklists_disjoint" "no-duplicate-grey" (fun sd ->
       { sd with St.s_W = List.mapi (fun i w -> if i = mut0 then [ 0; 0 ] else w) sd.St.s_W })
 
 let test_valid_w_refutable () =
   (* a grey whose object is unmarked, lock not held *)
-  violates "valid_W_inv" (fun sd ->
+  violates "valid_W_inv" "greys-marked-unless-locked" (fun sd ->
       let heap = Gcheap.Heap.set_mark sd.St.s_mem.St.heap 0 (not sd.St.s_mem.St.fM) in
       St.set_wl { sd with St.s_mem = { sd.St.s_mem with St.heap } } mut0 [ 0 ])
 
@@ -63,37 +79,56 @@ let test_valid_w_lock_exemption () =
   (* the lock-scope invariant now fails instead (lock held outside a CAS),
      but valid_W_inv itself must accept *)
   check_inv "valid_W_inv" sys true;
-  check_inv "tso_lock_scope" sys false
+  refutes "tso_lock_scope" "lock-only-in-cas" sys
+
+let test_valid_w_both_conjuncts () =
+  (* an unmarked grey on mutator 0 and a wrong-sense pending mark on
+     mutator 1: both conjuncts fail, and the witnesses list the first
+     conjunct's before the second's *)
+  let sys =
+    with_sys
+      (fun sd ->
+        let fM = sd.St.s_mem.St.fM in
+        let heap = Gcheap.Heap.set_mark sd.St.s_mem.St.heap 0 (not fM) in
+        let sd = St.set_wl { sd with St.s_mem = { sd.St.s_mem with St.heap } } mut0 [ 0 ] in
+        St.set_buf sd mut1 [ W_mark (0, not fM) ])
+      (base ())
+  in
+  refutes "valid_W_inv" "greys-marked-unless-locked" sys;
+  Alcotest.(check (list string))
+    "one witness per conjunct, in declared order"
+    [ "greys-marked-unless-locked"; "pending-marks-use-fM" ]
+    (witnessed_conjuncts "valid_W_inv" sys)
 
 let test_tso_ownership_refutable () =
-  violates "tso_ownership" (fun sd -> St.set_buf sd mut0 [ W_phase Ph_mark ])
+  violates "tso_ownership" "mutators-write-no-control-vars" (fun sd -> St.set_buf sd mut0 [ W_phase Ph_mark ])
 
 let test_gc_fm_refutable () =
-  violates "gc_fM_coherent" (fun sd -> { sd with St.s_mem = { sd.St.s_mem with St.fM = true } })
+  violates "gc_fM_coherent" "gc-fM-coherent" (fun sd -> { sd with St.s_mem = { sd.St.s_mem with St.fM = true } })
 
 let test_phase_inv_refutable () =
   (* hs_type = nop1 but phase = Mark in memory *)
-  violates "sys_phase_inv" (fun sd ->
+  violates "sys_phase_inv" "phase-span-nop1" (fun sd ->
       { sd with St.s_hs_type = Hs_nop1; s_mem = { sd.St.s_mem with St.phase = Ph_mark } })
 
 let test_fa_fm_refutable () =
   (* nop4 span with differing senses and no pending write *)
-  violates "fA_fM_relation" (fun sd ->
+  violates "fA_fM_relation" "fA-fM-span-nop4" (fun sd ->
       { sd with St.s_hs_type = Hs_nop4; s_mem = { sd.St.s_mem with St.fA = true; fM = false } })
 
 let test_no_black_refs_refutable () =
   (* nop2 span, senses differ, and a marked non-grey (= black) object *)
-  violates "no_black_refs_init" (fun sd ->
+  violates "no_black_refs_init" "no-black-before-fA-commit" (fun sd ->
       let heap = Gcheap.Heap.set_mark sd.St.s_mem.St.heap 0 true in
       { sd with St.s_hs_type = Hs_nop2; s_mem = { sd.St.s_mem with St.heap; fM = true; fA = false } })
 
 let test_idle_uniform_refutable () =
   (* nop1 span with a grey reference *)
-  violates "idle_heap_uniform" (fun sd -> St.set_wl { sd with St.s_hs_type = Hs_nop1 } mut0 [ 0 ])
+  violates "idle_heap_uniform" "idle-grey-free" (fun sd -> St.set_wl { sd with St.s_hs_type = Hs_nop1 } mut0 [ 0 ])
 
 let test_marked_insertions_refutable () =
   (* mutator past nop3 with an unmarked insertion in flight *)
-  violates "marked_insertions" (fun sd ->
+  violates "marked_insertions" "insertions-marked" (fun sd ->
       let heap = Gcheap.Heap.alloc sd.St.s_mem.St.heap 1 ~mark:(not sd.St.s_mem.St.fM) in
       let sd = { sd with St.s_mem = { sd.St.s_mem with St.heap } } in
       let sd = St.set_buf sd mut0 [ W_field (0, 0, Some 1) ] in
@@ -101,7 +136,7 @@ let test_marked_insertions_refutable () =
 
 let test_marked_deletions_refutable () =
   (* black mutator overwrites a field whose current value is white *)
-  violates "marked_deletions" (fun sd ->
+  violates "marked_deletions" "deletions-marked" (fun sd ->
       let heap = Gcheap.Heap.alloc sd.St.s_mem.St.heap 1 ~mark:(not sd.St.s_mem.St.fM) in
       let heap = Gcheap.Heap.set_field heap 0 0 (Some 1) in
       let sd = { sd with St.s_mem = { sd.St.s_mem with St.heap } } in
@@ -109,7 +144,7 @@ let test_marked_deletions_refutable () =
 
 let test_snapshot_refutable () =
   (* a black mutator reaching an unprotected white *)
-  violates "reachable_snapshot_inv" (fun sd ->
+  violates "reachable_snapshot_inv" "snapshot-reachable-protected" (fun sd ->
       let heap = Gcheap.Heap.alloc sd.St.s_mem.St.heap 1 ~mark:(not sd.St.s_mem.St.fM) in
       let heap = Gcheap.Heap.set_field heap 0 0 (Some 1) in
       { sd with St.s_mem = { sd.St.s_mem with St.heap } })
@@ -117,13 +152,13 @@ let test_snapshot_refutable () =
 let test_gc_w_empty_refutable () =
   (* active get-work round: completed mutator holds grey work, the waiting
      one does not, and the collector's W is empty *)
-  violates "gc_W_empty_mut_inv" (fun sd ->
+  violates "gc_W_empty_mut_inv" "grey-work-accounted" (fun sd ->
       let sd = { sd with St.s_hs_type = Hs_get_work; s_hs_done = [ true; false ] } in
       St.set_wl sd mut0 [ 0 ])
 
 let test_weak_tricolor_refutable () =
   (* black -> white edge with no grey anywhere *)
-  violates "weak_tricolor_inv" (fun sd ->
+  violates "weak_tricolor_inv" "black-to-white-protected" (fun sd ->
       let heap = Gcheap.Heap.alloc sd.St.s_mem.St.heap 1 ~mark:(not sd.St.s_mem.St.fM) in
       let heap = Gcheap.Heap.set_field heap 0 0 (Some 1) in
       { sd with St.s_mem = { sd.St.s_mem with St.heap } })
@@ -142,7 +177,7 @@ let test_weak_tricolor_accepts_protected () =
 
 let test_strong_tricolor_refutable () =
   (* marking span (nop4, senses equal) with a black -> white edge *)
-  violates "strong_tricolor_inv" (fun sd ->
+  violates "strong_tricolor_inv" "no-black-to-white-after-fA-commit" (fun sd ->
       let heap = Gcheap.Heap.alloc sd.St.s_mem.St.heap 1 ~mark:(not sd.St.s_mem.St.fM) in
       let heap = Gcheap.Heap.set_field heap 0 0 (Some 1) in
       { sd with St.s_hs_type = Hs_nop4; s_mem = { sd.St.s_mem with St.heap } })
@@ -159,7 +194,7 @@ let test_ablated_guards_disable () =
   List.iter
     (fun name ->
       match Core.Invariants.find cfg' name with
-      | Some i -> Alcotest.(check bool) (name ^ " vacuous") true (i.Core.Invariants.check sys)
+      | Some i -> Alcotest.(check bool) (name ^ " vacuous") true (Core.Invariants.check i sys)
       | None -> Alcotest.fail name)
     [ "marked_insertions"; "marked_deletions"; "reachable_snapshot_inv"; "weak_tricolor_inv" ]
 
@@ -182,6 +217,7 @@ let suite =
     Alcotest.test_case "worklists_disjoint: duplicates" `Quick test_worklists_dup_refutable;
     Alcotest.test_case "valid_W_inv is refutable" `Quick test_valid_w_refutable;
     Alcotest.test_case "valid_W_inv honours the lock exemption" `Quick test_valid_w_lock_exemption;
+    Alcotest.test_case "valid_W_inv: both conjuncts, two mutators" `Quick test_valid_w_both_conjuncts;
     Alcotest.test_case "tso_ownership is refutable" `Quick test_tso_ownership_refutable;
     Alcotest.test_case "gc_fM_coherent is refutable" `Quick test_gc_fm_refutable;
     Alcotest.test_case "sys_phase_inv is refutable" `Quick test_phase_inv_refutable;

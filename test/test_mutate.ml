@@ -74,16 +74,30 @@ let ablation_campaign =
     (let mutants = List.map Mutate.Campaign.of_variant Core.Variants.ablations in
      Mutate.Campaign.run ~budget:400_000 ~mutants ())
 
+(* Each ablation's kill at jobs=1: the violated invariant, the conjunct
+   its first witness names, and the counterexample length. *)
+let ablation_kills =
+  [
+    ("variant:no-deletion-barrier", ("free_only_garbage", "victim-unreachable", 92));
+    ("variant:no-insertion-barrier", ("free_only_garbage", "victim-unreachable", 68));
+    ("variant:no-barriers", ("free_only_garbage", "victim-unreachable", 90));
+    ("variant:alloc-white", ("idle_heap_uniform", "idle-uniform-colour", 5));
+    ("variant:no-fences", ("free_only_garbage", "victim-unreachable", 43));
+  ]
+
 let test_ablations_all_killed () =
   let o = Lazy.force ablation_campaign in
   List.iter
     (fun (e : Mutate.Campaign.entry) ->
+      let name = e.Mutate.Campaign.mutant.Mutate.Campaign.name in
       match e.Mutate.Campaign.classification with
-      | Mutate.Campaign.Killed _ -> ()
-      | Mutate.Campaign.Survived _ ->
-        Alcotest.fail (e.Mutate.Campaign.mutant.Mutate.Campaign.name ^ " survived")
-      | Mutate.Campaign.Errored msg ->
-        Alcotest.fail (e.Mutate.Campaign.mutant.Mutate.Campaign.name ^ " errored: " ^ msg))
+      | Mutate.Campaign.Killed k ->
+        Alcotest.(check (triple string string int))
+          (name ^ ": invariant, conjunct, ce_length")
+          (List.assoc name ablation_kills)
+          (k.Mutate.Campaign.invariant, k.Mutate.Campaign.conjunct, k.Mutate.Campaign.ce_length)
+      | Mutate.Campaign.Survived _ -> Alcotest.fail (name ^ " survived")
+      | Mutate.Campaign.Errored msg -> Alcotest.fail (name ^ " errored: " ^ msg))
     o.Mutate.Campaign.entries;
   let s = Mutate.Kill_matrix.stats o in
   Alcotest.(check int) "five ablations" 5 s.Mutate.Kill_matrix.ablations_total;
@@ -107,7 +121,9 @@ let test_kill_conjuncts_declared () =
           Alcotest.(check bool)
             (k.Mutate.Campaign.invariant ^ " declares conjunct " ^ k.Mutate.Campaign.conjunct)
             true
-            (List.mem_assoc k.Mutate.Campaign.conjunct inv.Core.Invariants.conjuncts))
+            (List.exists
+               (fun (c : Core.Invariants.conjunct) -> c.Core.Invariants.label = k.Mutate.Campaign.conjunct)
+               inv.Core.Invariants.conjuncts))
       | _ -> ())
     o.Mutate.Campaign.entries
 
